@@ -1,53 +1,9 @@
-//! `ahn-exp` — regenerate every table and figure of the paper.
+//! `ahn-exp` — regenerate every table and figure of the paper, and drive
+//! the sweep, calibration, atlas and serving tools built around them.
 //!
-//! ```text
-//! ahn-exp <command> [--preset smoke|scaled|paper] [--config FILE.json]
-//!                   [--reps N] [--gens N] [--rounds N] [--seed S]
-//!                   [--out DIR]
-//!
-//! `--config` loads a full serde `ExperimentConfig` (see
-//! `configs/example.json`); later flags override individual fields.
-//!
-//! commands:
-//!   fig4                cooperation evolution, cases 1-4 (Figure 4)
-//!   table5              per-environment cooperation, cases 3-4 (Table 5)
-//!   table6              forwarding-request responses (Table 6)
-//!   table7              most popular strategies (Table 7)
-//!   table8              sub-strategies, case 3 (Table 8)
-//!   table9              sub-strategies, case 4 (Table 9)
-//!   all                 everything above from one set of runs (+ JSON dump)
-//!   ipdrp               IPDRP baseline evolution (X3)
-//!   baseline-pathrater  avoidance-only baseline (X1)
-//!   ablate-payoff       A1: payoff-table readings
-//!   ablate-activity     A2: 13-bit vs 5-bit chromosome
-//!   ablate-selection    A3: tournament vs roulette
-//!   ablate-trust-table  A5: trust-threshold sensitivity
-//!   ablate-unknown      A6: unknown-node bit pinning
-//!   ablate-gossip       A7: second-hand reputation (CORE/CONFIDANT style)
-//!   transfer            strategy transfer across cases (extension)
-//!   newcomer            newcomer-join experiment (extension)
-//!   sleepers            activity-dimension sleeper study (extension)
-//!   sweep-rounds        cooperation vs reputation horizon R
-//!   sweep-csn           cooperation vs selfish-node density
-//!   sweep-mutation      cooperation vs GA mutation rate
-//!   sweep               scenario-sweep grid: case x payoff x size x seed-block
-//!   calibrate           reconstruction search: payoff-table family x scale x
-//!                       selection variant, scored against the paper targets
-//!   fidelity            assert per-case cooperation within tolerance of the
-//!                       paper targets (the CI reproduction-fidelity smoke)
-//!   trace               dump a JSON decision trace of one tournament, or —
-//!                       given trace files — join them into per-cell span
-//!                       trees (`ahn-exp trace [--require-complete N] FILE..`)
-//!   check               verify the paper-input presets (Tables 1-4)
-//!   bench               time the artifact pipelines (PERFORMANCE.md)
-//!   serve               run the HTTP job server (crates/serve)
-//!   worker              pull cells from a serve node and compute them
-//!   loadtest            drive a running server, report p50/p99 + req/s
-//! ```
-//!
-//! `sweep` and `calibrate` also accept `--via ADDR` (run the grid
-//! through a serve node, distributed across its workers) and
-//! `--journal FILE` (checkpoint completed cells; resume skips them).
+//! Every command lists its flags once, in a table ([`Flags::TABLE`]);
+//! one function ([`parse`]) parses any command against its table, and
+//! `ahn-exp --help` prints every command and flag from the same tables.
 //!
 //! `serve`, `worker`, `sweep`, `calibrate` and the experiment commands
 //! all accept `--trace FILE`: each node appends checksummed JSON span
@@ -59,150 +15,359 @@
 use ahn_core::{
     ablations, baselines, cases::CaseSpec, config::ExperimentConfig, experiment, extensions, report,
 };
+use std::fmt::Display;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print_usage();
-        return;
-    }
-    let command = args[0].clone();
-    // bench/serve/loadtest have their own flag sets; they do not share
-    // the experiment-configuration options.
-    if command == "bench" {
-        bench(&args[1..]);
-        return;
-    }
-    if command == "serve" {
-        serve(&args[1..]);
-        return;
-    }
-    if command == "loadtest" {
-        loadtest(&args[1..]);
-        return;
-    }
-    if command == "worker" {
-        worker(&args[1..]);
-        return;
-    }
-    if command == "sweep" {
-        sweep(&args[1..]);
-        return;
-    }
-    if command == "scenario" {
-        scenario(&args[1..]);
-        return;
-    }
-    if command == "atlas" {
-        atlas(&args[1..]);
-        return;
-    }
-    if command == "calibrate" {
-        calibrate(&args[1..]);
-        return;
-    }
-    if command == "fidelity" {
-        fidelity(&args[1..]);
-        return;
-    }
+    let (name, rest) = match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => return print!("{}", help()),
+        Some("scenario") => match args.get(1).map(String::as_str) {
+            Some(sub @ ("list" | "run")) => (format!("scenario {sub}"), &args[2..]),
+            Some(other) => fail(
+                2,
+                format!("unknown scenario subcommand {other:?} (list|run)"),
+            ),
+            None => fail(2, "scenario needs a subcommand (list|run)"),
+        },
+        Some(name) => (name.to_owned(), &args[1..]),
+    };
     // `trace` is two commands sharing a name: with trace-file arguments
     // it joins span logs; with experiment flags only, it keeps its
     // original meaning (dump a game decision trace).
-    if command == "trace" && trace_join_requested(&args[1..]) {
-        trace_join(&args[1..]);
-        return;
+    let tool = COMMANDS
+        .iter()
+        .find(|c| c.name == name && (name != "trace" || trace_join_requested(rest)));
+    if let Some(command) = tool {
+        (command.run)(rest);
+    } else if let Some((_, _, run)) = PAPER.iter().find(|p| p.0 == name) {
+        let mut opts: Options = parse_or_exit(rest);
+        opts.log = open_trace(opts.trace.as_deref(), "ahn-exp");
+        run(&opts);
+    } else {
+        fail(
+            2,
+            format!("unknown command {name:?} (see `ahn-exp --help`)"),
+        );
     }
-    let opts = match Options::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+}
 
-    match command.as_str() {
-        "fig4" => fig4(&opts),
-        "table5" => table5(&opts),
-        "table6" => table6(&opts),
-        "table7" => table7(&opts),
-        "table8" => table8_9(&opts, 3),
-        "table9" => table8_9(&opts, 4),
-        "all" => all(&opts),
-        "ipdrp" => ipdrp(&opts),
-        "baseline-pathrater" => pathrater(&opts),
-        "ablate-payoff" => ablate(&opts, "A1 payoff-table reading", ablations::ablate_payoff),
-        "ablate-activity" => ablate(&opts, "A2 activity dimension", ablations::ablate_activity),
-        "ablate-selection" => ablate(&opts, "A3 selection operator", ablations::ablate_selection),
-        "ablate-trust-table" => ablate(
-            &opts,
+/// An experiment command: name, summary, runner. These commands take
+/// the experiment flags ([`Options`]) and nothing else.
+type Experiment = (&'static str, &'static str, fn(&Options));
+
+const PAPER: &[Experiment] = &[
+    ("fig4", "cooperation evolution, cases 1-4 (Figure 4)", fig4),
+    ("table5", "per-environment cooperation (Table 5)", table5),
+    ("table6", "forwarding-request responses (Table 6)", table6),
+    ("table7", "most popular strategies (Table 7)", table7),
+    ("table8", "sub-strategies, case 3", |o| table8_9(o, 3)),
+    ("table9", "sub-strategies, case 4", |o| table8_9(o, 4)),
+    ("all", "all of the above from one set of runs", all),
+    ("ipdrp", "IPDRP baseline evolution (X3)", ipdrp),
+    ("baseline-pathrater", "avoidance-only baseline", pathrater),
+    ("ablate-payoff", "A1: payoff-table readings", |o| {
+        ablate(o, "A1 payoff-table reading", ablations::ablate_payoff)
+    }),
+    ("ablate-activity", "A2: 13-bit vs 5-bit genes", |o| {
+        ablate(o, "A2 activity dimension", ablations::ablate_activity)
+    }),
+    ("ablate-selection", "A3: tournament vs roulette", |o| {
+        ablate(o, "A3 selection operator", ablations::ablate_selection)
+    }),
+    ("ablate-trust-table", "A5: trust thresholds", |o| {
+        ablate(
+            o,
             "A5 trust-table thresholds",
             ablations::ablate_trust_table,
-        ),
-        "ablate-unknown" => ablate(&opts, "A6 unknown-node bit", ablations::ablate_unknown),
-        "ablate-gossip" => ablate(&opts, "A7 second-hand reputation", ablations::ablate_gossip),
-        "transfer" => transfer(&opts),
-        "newcomer" => newcomer(&opts),
-        "sleepers" => sleepers(&opts),
-        "sweep-rounds" => sweep_rounds(&opts),
-        "sweep-csn" => sweep_csn(&opts),
-        "sweep-mutation" => sweep_mutation(&opts),
-        "trace" => trace(&opts),
-        "check" => {
-            let results = ahn_core::checks::run_all();
-            match ahn_core::checks::render(&results) {
-                Ok(text) => print!("{text}"),
-                Err(text) => {
-                    print!("{text}");
-                    std::process::exit(1);
-                }
+        )
+    }),
+    ("ablate-unknown", "A6: unknown-node bit pinning", |o| {
+        ablate(o, "A6 unknown-node bit", ablations::ablate_unknown)
+    }),
+    ("ablate-gossip", "A7: second-hand reputation", |o| {
+        ablate(o, "A7 second-hand reputation", ablations::ablate_gossip)
+    }),
+    ("transfer", "strategy transfer across cases", transfer),
+    ("newcomer", "newcomer-join experiment", newcomer),
+    ("sleepers", "activity sleeper study (X6)", sleepers),
+    ("sweep-rounds", "cooperation vs horizon R", sweep_rounds),
+    ("sweep-csn", "cooperation vs selfish density", sweep_csn),
+    ("sweep-mutation", "cooperation vs mutation", sweep_mutation),
+    ("trace", "JSON decision trace of one game", trace),
+    ("check", "verify the presets (Tables 1-4)", |_| check()),
+];
+
+/// Every other command: its help section and its runner.
+const COMMANDS: &[Command] = &[
+    command::<SweepFlags>(|a| sweep(parse_or_exit(a))),
+    command::<CalibrateFlags>(|a| calibrate(parse_or_exit(a))),
+    command::<FidelityFlags>(|a| fidelity(parse_or_exit(a))),
+    command::<ScenarioList>(|a| scenario_list(parse_or_exit(a))),
+    command::<ScenarioRun>(|a| scenario_run(parse_or_exit(a))),
+    command::<AtlasFlags>(|a| atlas(parse_or_exit(a))),
+    command::<TraceJoinFlags>(|a| trace_join(parse_or_exit(a))),
+    command::<BenchFlags>(|a| bench(parse_or_exit(a))),
+    command::<ahn_serve::ServerConfig>(|a| serve(parse_or_exit(a))),
+    command::<WorkerFlags>(|a| worker(parse_or_exit(a))),
+    command::<LoadtestFlags>(|a| loadtest(parse_or_exit(a))),
+];
+
+struct Command {
+    name: &'static str,
+    help: fn() -> String,
+    run: fn(&[String]),
+}
+
+const fn command<C: Flags>(run: fn(&[String])) -> Command {
+    let (name, help) = (C::NAME, section::<C>);
+    Command { name, help, run }
+}
+
+/// The `--help` text, generated from the command and flag tables.
+fn help() -> String {
+    let mut out = String::from(
+        "ahn-exp — regenerate the tables and figures of Seredynski et al. (IPDPS'07)\n\n\
+         usage: ahn-exp <command> [flags]\n\nexperiment commands:\n",
+    );
+    for (name, about, _) in PAPER {
+        out += &format!("  {name:<28} {about}\n");
+    }
+    out += "\nexperiment flags (the last --preset/--config is the base configuration;\n\
+            the other flags override its fields, in any order):\n";
+    out += &rows(Options::TABLE);
+    for command in COMMANDS {
+        out += &(command.help)();
+    }
+    out
+}
+
+/// One command's help section: synopsis, summary, flag rows.
+fn section<C: Flags>() -> String {
+    let usage = format!("ahn-exp {} [flags] {}", C::NAME, C::ARGS);
+    let mut out = format!("\n{}\n  {}\n{}", usage.trim_end(), C::ABOUT, rows(C::TABLE));
+    if C::defaults().experiment().is_some() {
+        out += "  + the experiment flags\n";
+    }
+    out
+}
+
+fn rows<C>(table: &[Flag<C>]) -> String {
+    let row = |f: &Flag<C>| {
+        let (usage, help) = f.spec.split_once(": ").unwrap_or((f.spec, ""));
+        format!("  {usage:<28} {help}\n")
+    };
+    table.iter().map(row).collect()
+}
+
+/// Prints `error: {message}` and exits with `code`: 2 for bad input
+/// (flags, names, paths), 1 for a failed gate or run.
+fn fail(code: i32, message: impl Display) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(code)
+}
+
+/// The `Ok` value, or [`fail`] with the error.
+fn or_exit<T, E: Display>(result: Result<T, E>, code: i32) -> T {
+    result.unwrap_or_else(|e| fail(code, e))
+}
+
+fn serialized<E: Display>(result: Result<String, E>) -> String {
+    let result = result.map_err(|e| format!("cannot serialize report: {e}"));
+    or_exit(result, 1)
+}
+
+/// Opens the span trace log at `path` for node `role:<pid>`, exiting 2
+/// when it cannot be opened.
+fn open_trace(path: Option<&str>, role: &str) -> Option<ahn_obs::TraceLog> {
+    let node = format!("{role}:{}", std::process::id());
+    path.map(|p| {
+        let log = ahn_obs::TraceLog::open(Path::new(p), &node);
+        or_exit(
+            log.map_err(|e| format!("cannot open trace log {p}: {e}")),
+            2,
+        )
+    })
+}
+
+/// One row of a command's flag table. `spec` reads as the row's help
+/// line, `"--name METAVAR: help"`; a switch has no metavar.
+struct Flag<C> {
+    spec: &'static str,
+    set: Set<C>,
+}
+
+enum Set<C> {
+    Switch(fn(&mut C)),
+    /// Takes the next argument, parsing and validating it.
+    Value(fn(&mut C, Value<'_>) -> Result<(), String>),
+}
+
+const fn flag<C>(spec: &'static str, set: fn(&mut C, Value<'_>) -> Result<(), String>) -> Flag<C> {
+    let set = Set::Value(set);
+    Flag { spec, set }
+}
+
+const fn switch<C>(spec: &'static str, set: fn(&mut C)) -> Flag<C> {
+    let set = Set::Switch(set);
+    Flag { spec, set }
+}
+
+impl<C> Flag<C> {
+    fn name(&self) -> &'static str {
+        self.spec.split([' ', ':']).next().unwrap_or_default()
+    }
+
+    fn apply(&self, cmd: &mut C, args: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
+        match self.set {
+            Set::Switch(set) => {
+                set(cmd);
+                Ok(())
             }
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            print_usage();
-            std::process::exit(2);
+            Set::Value(set) => {
+                let (flag, text) = (self.name(), args.next().map(String::as_str));
+                set(cmd, Value { flag, text })
+            }
         }
     }
 }
 
-fn print_usage() {
-    println!(
-        "ahn-exp — regenerate the tables and figures of Seredynski et al. (IPDPS'07)\n\n\
-         usage: ahn-exp <command> [--preset smoke|scaled|paper] [--reps N]\n\
-                [--gens N] [--rounds N] [--seed S] [--out DIR] [--trace FILE]\n\
-                ahn-exp sweep [--scenarios base,slanderers,..] [--cases 1,2,..]\n\
-                              [--payoffs paper,..] [--sizes 10,50,..]\n\
-                              [--seed-blocks N] [--json] [--via ADDR] [--journal FILE]\n\
-                              [--trace FILE] [+ the experiment flags above]\n\
-                ahn-exp scenario list [--json]      (the adversary-zoo registry)\n\
-                ahn-exp scenario run NAME [--defense watchdog|core|confidant]\n\
-                                          [--size N] [+ the experiment flags above]\n\
-                ahn-exp atlas [--json FILE] [--out FILE] [--scenarios a,b,..] [--size N]\n\
-                              (scenario x defense grid; no args prints markdown)\n\
-                ahn-exp calibrate [--cases 1,2,..] [--scales 0.5,1,..]\n\
-                                  [--selections paper,rank,..] [--size N]\n\
-                                  [--seed-blocks N] [--max-candidates N] [--json]\n\
-                                  [--via ADDR] [--journal FILE] [--trace FILE]\n\
-                                  [+ the experiment flags above]\n\
-                ahn-exp fidelity [--cases 1,3] [--tol F] [+ the experiment flags]\n\
-                ahn-exp bench [--json] [--baseline FILE.json] [--max-regression F]\n\
-                              [--threads 1,4,8]\n\
-                ahn-exp serve [--addr A] [--workers N] [--cache-cap N] [--queue-cap N]\n\
-                              [--journal FILE] [--trace FILE]  (--workers 0 = pull-only)\n\
-                ahn-exp worker [--addr A] [--lease-ms N] [--poll-ms N] [--max-cells N]\n\
-                               [--exit-when-idle] [--trace FILE]\n\
-                ahn-exp loadtest [--addr A] [--connections N] [--requests N]\n\
-                                 [--distinct N] [--json] [--min-hit-rate F] [--shutdown]\n\
-                ahn-exp trace [--require-complete N] FILE..   (join span logs)\n\n\
-         commands: fig4 table5 table6 table7 table8 table9 all ipdrp\n\
-                   baseline-pathrater ablate-payoff ablate-activity\n\
-                   ablate-selection ablate-trust-table ablate-unknown\n\
-                   ablate-gossip transfer newcomer sleepers\n\
-                   sweep-rounds sweep-csn sweep-mutation sweep scenario atlas\n\
-                   calibrate fidelity trace check bench serve worker loadtest"
-    );
+/// A flag's value (`None` when the arguments ran out), with the flag's
+/// name for error messages.
+#[derive(Clone, Copy)]
+struct Value<'a> {
+    flag: &'static str,
+    text: Option<&'a str>,
+}
+
+impl Value<'_> {
+    /// The error for a missing or invalid value.
+    fn needs(self, what: &str) -> String {
+        format!("{} needs {what}", self.flag)
+    }
+
+    /// The value as given; `what` names it in the missing-value error.
+    fn text(self, what: &str) -> Result<String, String> {
+        self.text.map(str::to_owned).ok_or_else(|| self.needs(what))
+    }
+
+    fn parse<T: FromStr<Err: Display>>(self) -> Result<T, String> {
+        let text = self.text("a value")?;
+        text.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// The value parsed as `T` and accepted by `ok`; otherwise an error
+    /// saying the flag needs `what`.
+    fn parse_if<T: FromStr>(self, what: &str, ok: impl Fn(&T) -> bool) -> Result<T, String> {
+        match self.text.map(str::parse) {
+            Some(Ok(value)) if ok(&value) => Ok(value),
+            _ => Err(self.needs(what)),
+        }
+    }
+
+    fn positive<T: FromStr + PartialOrd + Default>(self) -> Result<T, String> {
+        self.parse_if("a positive integer", |n| *n > T::default())
+    }
+
+    fn percent(self) -> Result<u8, String> {
+        self.parse_if("a percentage in [0, 100]", |&n| n <= 100)
+    }
+
+    fn fraction(self) -> Result<f64, String> {
+        self.parse_if("a fraction in [0, 1]", |f| (0.0..=1.0).contains(f))
+    }
+
+    /// A participant count: the smallest world has 3 nodes.
+    fn size(self) -> Result<usize, String> {
+        self.parse_if("an integer >= 3", |&n| n >= 3)
+    }
+
+    /// A comma-separated list, every item parsed as `T`.
+    fn list<T: FromStr>(self) -> Result<Vec<T>, String> {
+        let items = self
+            .text
+            .and_then(|t| t.split(',').map(|s| s.parse().ok()).collect());
+        items.ok_or_else(|| self.needs("a comma-separated list"))
+    }
+
+    fn scenario_names(self) -> Result<Vec<String>, String> {
+        let names: Vec<String> = self.list()?;
+        if names.iter().any(String::is_empty) {
+            return Err(self.needs("non-empty scenario names"));
+        }
+        Ok(names)
+    }
+}
+
+/// A command's parsed state, its defaults and its flag table.
+trait Flags: Sized + 'static {
+    /// The command as typed (`"scenario run"`); also names it in errors.
+    const NAME: &'static str;
+    /// Positional arguments and a one-line summary, for the help text.
+    const ARGS: &'static str = "";
+    const ABOUT: &'static str;
+    /// Every flag the command takes besides the experiment flags.
+    const TABLE: &'static [Flag<Self>];
+
+    /// The state before any flag is applied.
+    fn defaults() -> Self;
+
+    /// The experiment flags, for the commands that take them.
+    fn experiment(&mut self) -> Option<&mut Options> {
+        None
+    }
+
+    /// Takes one positional argument; commands without any reject it.
+    fn positional(&mut self, arg: &str) -> Result<(), String> {
+        Err(unknown_flag(Self::NAME, arg))
+    }
+
+    /// Checks that span several flags, run once every flag is in.
+    fn finish(&mut self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+fn unknown_flag(command: &str, arg: &str) -> String {
+    match command {
+        "" => format!("unknown flag {arg:?}"),
+        _ => format!("unknown {command} flag {arg:?}"),
+    }
+}
+
+/// Parses one command's arguments against its flag table and, where
+/// the command takes them, the experiment flags. Parsing has no side
+/// effects: paths are returned, not opened (only `--config` is read).
+fn parse<C: Flags>(args: &[String]) -> Result<C, String> {
+    let mut cmd = C::defaults();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if let Some(flag) = C::TABLE.iter().find(|f| f.name() == arg) {
+            flag.apply(&mut cmd, &mut args)?;
+        } else if let Some((flag, exp)) = Options::TABLE
+            .iter()
+            .find(|f| f.name() == arg)
+            .zip(cmd.experiment())
+        {
+            flag.apply(exp, &mut args)?;
+        } else if arg.starts_with("--") {
+            return Err(unknown_flag(C::NAME, arg));
+        } else {
+            cmd.positional(arg)?;
+        }
+    }
+    if let Some(exp) = cmd.experiment() {
+        exp.finish()?;
+    }
+    cmd.finish()?;
+    Ok(cmd)
+}
+
+fn parse_or_exit<C: Flags>(args: &[String]) -> C {
+    let parsed = parse(args).map_err(|e| format!("{e} (see `ahn-exp --help`)"));
+    or_exit(parsed, 2)
 }
 
 /// `ahn-exp bench` flags.
@@ -214,66 +379,44 @@ struct BenchFlags {
     threads: Vec<usize>,
 }
 
-fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, String> {
-    let mut flags = BenchFlags {
-        json: false,
-        baseline_path: None,
-        max_regression: 2.0,
-        threads: vec![1, 4, 8],
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => flags.json = true,
-            "--baseline" => match it.next() {
-                Some(p) => flags.baseline_path = Some(p.clone()),
-                None => return Err("--baseline needs a file".into()),
-            },
-            "--max-regression" => match it.next().map(|s| s.parse::<f64>()) {
-                Some(Ok(f)) if f >= 1.0 => flags.max_regression = f,
-                _ => return Err("--max-regression needs a factor >= 1".into()),
-            },
-            // The report schema has rows for exactly t = 1, 4, 8; other
-            // counts would be measured into the void.
-            "--threads" => match it.next() {
-                Some(list) => {
-                    let parsed: Result<Vec<usize>, _> =
-                        list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                    match parsed {
-                        Ok(counts)
-                            if !counts.is_empty()
-                                && counts.iter().all(|t| [1, 4, 8].contains(t)) =>
-                        {
-                            flags.threads = counts
-                        }
-                        _ => return Err("--threads needs a comma-separated subset of 1,4,8".into()),
-                    }
-                }
-                None => return Err("--threads needs a comma-separated subset of 1,4,8".into()),
-            },
-            other => return Err(format!("unknown bench flag {other:?}")),
+impl Flags for BenchFlags {
+    const NAME: &'static str = "bench";
+    const ABOUT: &'static str = "time the artifact pipelines (PERFORMANCE.md)";
+    const TABLE: &'static [Flag<Self>] = &[
+        switch("--json: print the report as JSON", |f| f.json = true),
+        flag("--baseline FILE: report to gate against", |f, v| {
+            v.text("a file").map(|p| f.baseline_path = Some(p))
+        }),
+        flag("--max-regression F: allowed slowdown factor", |f, v| {
+            v.parse_if("a factor >= 1", |x: &f64| *x >= 1.0)
+                .map(|x| f.max_regression = x)
+        }),
+        // The report schema has rows for exactly t = 1, 4, 8; other
+        // counts would be measured into the void.
+        flag("--threads LIST: thread counts (of 1,4,8)", |f, v| {
+            let counts: Option<Vec<usize>> = v
+                .text
+                .and_then(|t| t.split(',').map(|s| s.trim().parse().ok()).collect());
+            let counts = counts.filter(|ts| ts.iter().all(|t| [1, 4, 8].contains(t)));
+            let counts = counts.ok_or_else(|| v.needs("a comma-separated subset of 1,4,8"));
+            counts.map(|ts| f.threads = ts)
+        }),
+    ];
+
+    fn defaults() -> Self {
+        BenchFlags {
+            json: false,
+            baseline_path: None,
+            max_regression: 2.0,
+            threads: vec![1, 4, 8],
         }
     }
-    Ok(flags)
 }
 
 /// `ahn-exp bench`: time the artifact pipelines and game throughput
 /// (PERFORMANCE.md documents the protocol and the `BENCH_N.json`
 /// convention).
-fn bench(args: &[String]) {
-    let BenchFlags {
-        json,
-        baseline_path,
-        max_regression,
-        threads,
-    } = match parse_bench_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-
+fn bench(flags: BenchFlags) {
     if let Some(reason) = ahn_bench::harness::portable_build_warning() {
         eprintln!("warning: {reason}");
     }
@@ -281,110 +424,79 @@ fn bench(args: &[String]) {
     eprintln!("measuring (min of {} runs per pipeline)...", {
         ahn_bench::harness::MEASURE_RUNS
     });
-    let report = ahn_bench::harness::run_bench(&threads);
-    if json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                std::process::exit(1);
-            }
-        }
+    let report = ahn_bench::harness::run_bench(&flags.threads);
+    if flags.json {
+        println!("{}", serialized(serde_json::to_string_pretty(&report)));
     } else {
         print!("{}", ahn_bench::harness::render(&report));
     }
 
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let baseline: ahn_bench::harness::BenchBaseline = match serde_json::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: malformed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match ahn_bench::harness::check_regression(&report, &baseline, max_regression) {
-            Ok(()) => eprintln!(
-                "within {max_regression}x of the committed baseline ({})",
-                baseline.note
-            ),
-            Err(msg) => {
-                eprintln!("error: performance regression vs {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(path) = flags.baseline_path {
+        let text = std::fs::read_to_string(&path);
+        let text = or_exit(
+            text.map_err(|e| format!("cannot read baseline {path}: {e}")),
+            1,
+        );
+        let baseline: Result<ahn_bench::harness::BenchBaseline, _> = serde_json::from_str(&text);
+        let baseline = baseline.map_err(|e| format!("malformed baseline {path}: {e}"));
+        let baseline = or_exit(baseline, 1);
+        let max_regression = flags.max_regression;
+        let verdict = ahn_bench::harness::check_regression(&report, &baseline, max_regression);
+        let verdict = verdict.map_err(|msg| format!("performance regression vs {path}: {msg}"));
+        or_exit(verdict, 1);
+        eprintln!(
+            "within {max_regression}x of the committed baseline ({})",
+            baseline.note
+        );
     }
 }
 
-fn parse_serve_flags(args: &[String]) -> Result<ahn_serve::ServerConfig, String> {
-    let mut config = ahn_serve::ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?.clone(),
-            // 0 is legal: a pull-only node that computes nothing
-            // itself and serves cells to `ahn-exp worker` processes.
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--cache-cap" => {
-                config.cache_cap = value("--cache-cap")?
-                    .parse()
-                    .map_err(|e| format!("--cache-cap: {e}"))?
-            }
-            "--journal" => config.journal = Some(value("--journal")?.clone()),
-            "--trace" => config.trace = Some(value("--trace")?.clone()),
-            "--queue-cap" => match value("--queue-cap")?.parse() {
-                Ok(n) if n > 0 => config.queue_cap = n,
-                _ => return Err("--queue-cap needs a positive integer".into()),
-            },
-            // Deadline knobs, all in milliseconds, 0 = disabled.
-            "--read-timeout-ms" => {
-                config.read_timeout_ms = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout_ms = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--idle-timeout-ms: {e}"))?
-            }
-            "--write-timeout-ms" => {
-                config.write_timeout_ms = value("--write-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?
-            }
-            "--drain-ms" => {
-                config.drain_ms = value("--drain-ms")?
-                    .parse()
-                    .map_err(|e| format!("--drain-ms: {e}"))?
-            }
-            other => return Err(format!("unknown serve flag {other:?}")),
-        }
+impl Flags for ahn_serve::ServerConfig {
+    const NAME: &'static str = "serve";
+    const ABOUT: &'static str = "run the HTTP job server until POST /v1/shutdown";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--addr A: listen address", |c, v| {
+            v.parse().map(|a| c.addr = a)
+        }),
+        // 0 is legal: a pull-only node that computes nothing itself and
+        // serves cells to `ahn-exp worker` processes.
+        flag("--workers N: job threads (0: pull-only)", |c, v| {
+            v.parse().map(|n| c.workers = n)
+        }),
+        flag("--cache-cap N: cached results (0: off)", |c, v| {
+            v.parse().map(|n| c.cache_cap = n)
+        }),
+        flag("--queue-cap N: queued-job limit", |c, v| {
+            v.positive().map(|n| c.queue_cap = n)
+        }),
+        flag("--journal FILE: completion journal", |c, v| {
+            v.parse().map(|p| c.journal = Some(p))
+        }),
+        flag("--trace FILE: append span events to this log", |c, v| {
+            v.parse().map(|p| c.trace = Some(p))
+        }),
+        // Deadline knobs, all in milliseconds, 0 = disabled.
+        flag("--read-timeout-ms N: read deadline (0: off)", |c, v| {
+            v.parse().map(|n| c.read_timeout_ms = n)
+        }),
+        flag("--idle-timeout-ms N: keep-alive deadline", |c, v| {
+            v.parse().map(|n| c.idle_timeout_ms = n)
+        }),
+        flag("--write-timeout-ms N: write deadline", |c, v| {
+            v.parse().map(|n| c.write_timeout_ms = n)
+        }),
+        flag("--drain-ms N: shutdown drain budget", |c, v| {
+            v.parse().map(|n| c.drain_ms = n)
+        }),
+    ];
+
+    fn defaults() -> Self {
+        Self::default()
     }
-    Ok(config)
 }
 
 /// `ahn-exp serve`: run the HTTP job server until `POST /v1/shutdown`.
-fn serve(args: &[String]) {
-    let config = match parse_serve_flags(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn serve(config: ahn_serve::ServerConfig) {
     // Keep worker fan-out and per-job rayon fan-out from multiplying
     // into oversubscription: unless the operator already pinned
     // AHN_THREADS (the vendored rayon's cap, vendor/README.md), give
@@ -394,13 +506,9 @@ fn serve(args: &[String]) {
         let share = (cores / config.workers.max(1)).max(1);
         std::env::set_var("AHN_THREADS", share.to_string());
     }
-    let handle = match ahn_serve::spawn(config.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", config.addr);
-            std::process::exit(1);
-        }
-    };
+    let handle = ahn_serve::spawn(config.clone());
+    let handle = handle.map_err(|e| format!("cannot bind {}: {e}", config.addr));
+    let handle = or_exit(handle, 1);
     println!("ahn-serve listening on {}", handle.addr());
     eprintln!(
         "  {} workers, cache capacity {}, queue capacity {} (POST /v1/shutdown to stop)",
@@ -417,7 +525,7 @@ fn serve(args: &[String]) {
 }
 
 /// `ahn-exp loadtest` flags: the client config plus reporting options.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct LoadtestFlags {
     config: ahn_serve::LoadtestConfig,
     json: bool,
@@ -425,73 +533,46 @@ struct LoadtestFlags {
     shutdown: bool,
 }
 
-fn parse_loadtest_flags(args: &[String]) -> Result<LoadtestFlags, String> {
-    let mut flags = LoadtestFlags {
-        config: ahn_serve::LoadtestConfig::default(),
-        json: false,
-        min_hit_rate: None,
-        shutdown: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => flags.config.addr = value("--addr")?.clone(),
-            "--connections" => match value("--connections")?.parse() {
-                Ok(n) if n > 0 => flags.config.connections = n,
-                _ => return Err("--connections needs a positive integer".into()),
-            },
-            "--requests" => match value("--requests")?.parse() {
-                Ok(n) if n > 0 => flags.config.requests = n,
-                _ => return Err("--requests needs a positive integer".into()),
-            },
-            "--distinct" => match value("--distinct")?.parse() {
-                Ok(n) if n > 0 => flags.config.distinct = n,
-                _ => return Err("--distinct needs a positive integer".into()),
-            },
-            "--json" => flags.json = true,
-            "--min-hit-rate" => match value("--min-hit-rate")?.parse::<f64>() {
-                Ok(f) if (0.0..=1.0).contains(&f) => flags.min_hit_rate = Some(f),
-                _ => return Err("--min-hit-rate needs a fraction in [0, 1]".into()),
-            },
-            "--shutdown" => flags.shutdown = true,
-            other => return Err(format!("unknown loadtest flag {other:?}")),
-        }
+impl Flags for LoadtestFlags {
+    const NAME: &'static str = "loadtest";
+    const ABOUT: &'static str = "drive a running server, report p50/p99 and req/s";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--addr A: server address", |f, v| {
+            v.parse().map(|a| f.config.addr = a)
+        }),
+        flag("--connections N: parallel connections", |f, v| {
+            v.positive().map(|n| f.config.connections = n)
+        }),
+        flag("--requests N: total requests", |f, v| {
+            v.positive().map(|n| f.config.requests = n)
+        }),
+        flag("--distinct N: distinct job specs", |f, v| {
+            v.positive().map(|n| f.config.distinct = n)
+        }),
+        switch("--json: print the report as JSON", |f| f.json = true),
+        flag("--min-hit-rate F: required cache hit rate", |f, v| {
+            v.fraction().map(|x| f.min_hit_rate = Some(x))
+        }),
+        switch("--shutdown: shut the server down after", |f| {
+            f.shutdown = true
+        }),
+    ];
+
+    fn defaults() -> Self {
+        Self::default()
     }
-    Ok(flags)
 }
 
 /// `ahn-exp loadtest`: drive a running server with a mixed
 /// cache-hit/cache-miss workload and report latency + throughput.
-fn loadtest(args: &[String]) {
-    let flags = match parse_loadtest_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn loadtest(flags: LoadtestFlags) {
     eprintln!(
         "loadtest: {} requests over {} connections against {} ({} distinct specs)...",
         flags.config.requests, flags.config.connections, flags.config.addr, flags.config.distinct
     );
-    let report = match ahn_serve::run_loadtest(&flags.config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = or_exit(ahn_serve::run_loadtest(&flags.config), 1);
     if flags.json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", serialized(serde_json::to_string_pretty(&report)));
     } else {
         print!("{}", ahn_serve::loadtest::render(&report));
     }
@@ -499,20 +580,13 @@ fn loadtest(args: &[String]) {
     if flags.shutdown {
         match ahn_serve::loadtest::one_shot(&flags.config.addr, "POST", "/v1/shutdown", "") {
             Ok((200, _)) => eprintln!("sent shutdown to {}", flags.config.addr),
-            Ok((status, body)) => {
-                eprintln!("error: shutdown returned {status}: {body}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: shutdown failed: {e}");
-                std::process::exit(1);
-            }
+            Ok((status, body)) => fail(1, format!("shutdown returned {status}: {body}")),
+            Err(e) => fail(1, format!("shutdown failed: {e}")),
         }
     }
 
     if report.errors > 0 {
-        eprintln!("error: {} requests failed", report.errors);
-        std::process::exit(1);
+        fail(1, format!("{} requests failed", report.errors));
     }
     if let Some(min) = flags.min_hit_rate {
         let rate = report
@@ -521,8 +595,10 @@ fn loadtest(args: &[String]) {
             .map(|m| m.cache_hit_rate)
             .unwrap_or(0.0);
         if rate < min {
-            eprintln!("error: cache hit rate {rate:.3} is below the required {min:.3}");
-            std::process::exit(1);
+            fail(
+                1,
+                format!("cache hit rate {rate:.3} is below the required {min:.3}"),
+            );
         }
         eprintln!("cache hit rate {rate:.3} >= {min:.3}");
     }
@@ -545,173 +621,121 @@ struct WorkerFlags {
     trace: Option<String>,
 }
 
-fn parse_worker_flags(args: &[String]) -> Result<WorkerFlags, String> {
-    let mut flags = WorkerFlags {
-        addr: "127.0.0.1:7878".into(),
-        config: ahn_serve::WorkerConfig::default(),
-        breaker_threshold: 8,
-        breaker_cooldown_ms: 1_000,
-        chaos: ahn_serve::FaultPlan::none(),
-        trace: None,
-    };
-    let percent = |name: &str, text: &str| -> Result<u8, String> {
-        match text.parse() {
-            Ok(n) if n <= 100 => Ok(n),
-            _ => Err(format!("{name} needs a percentage in [0, 100]")),
-        }
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => flags.addr = value("--addr")?.clone(),
-            "--lease-ms" => match value("--lease-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.lease_ms = n,
-                _ => return Err("--lease-ms needs a positive integer".into()),
-            },
-            "--poll-ms" => match value("--poll-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.poll_ms = n,
-                _ => return Err("--poll-ms needs a positive integer".into()),
-            },
-            "--max-cells" => {
-                flags.config.max_cells = value("--max-cells")?
-                    .parse()
-                    .map_err(|e| format!("--max-cells: {e}"))?
-            }
-            "--exit-when-idle" => flags.config.idle_exit_polls = 3,
-            "--retry-base-ms" => match value("--retry-base-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.backoff.base_ms = n,
-                _ => return Err("--retry-base-ms needs a positive integer".into()),
-            },
-            "--retry-cap-ms" => match value("--retry-cap-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.backoff.cap_ms = n,
-                _ => return Err("--retry-cap-ms needs a positive integer".into()),
-            },
-            "--backoff-seed" => {
-                flags.config.backoff.seed = value("--backoff-seed")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-seed: {e}"))?
-            }
-            "--max-errors" => {
-                flags.config.max_consecutive_errors = value("--max-errors")?
-                    .parse()
-                    .map_err(|e| format!("--max-errors: {e}"))?
-            }
-            "--breaker-threshold" => {
-                flags.breaker_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-threshold: {e}"))?
-            }
-            "--breaker-cooldown-ms" => {
-                flags.breaker_cooldown_ms = value("--breaker-cooldown-ms")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-cooldown-ms: {e}"))?
-            }
-            "--chaos-seed" => {
-                flags.chaos.seed = value("--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-seed: {e}"))?
-            }
-            "--chaos-drop-request" => {
-                flags.chaos.drop_request_percent =
-                    percent("--chaos-drop-request", value("--chaos-drop-request")?)?
-            }
-            "--chaos-drop-response" => {
-                flags.chaos.drop_response_percent =
-                    percent("--chaos-drop-response", value("--chaos-drop-response")?)?
-            }
-            "--chaos-latency-percent" => {
-                flags.chaos.latency_percent =
-                    percent("--chaos-latency-percent", value("--chaos-latency-percent")?)?
-            }
-            "--chaos-latency-ms" => {
-                flags.chaos.latency_ms = value("--chaos-latency-ms")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-latency-ms: {e}"))?
-            }
-            "--chaos-stall-percent" => {
-                flags.chaos.stall_percent =
-                    percent("--chaos-stall-percent", value("--chaos-stall-percent")?)?
-            }
-            "--chaos-stall-ms" => {
-                flags.chaos.stall_ms = value("--chaos-stall-ms")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-stall-ms: {e}"))?
-            }
-            "--chaos-partial-percent" => {
-                flags.chaos.partial_write_percent =
-                    percent("--chaos-partial-percent", value("--chaos-partial-percent")?)?
-            }
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => return Err(format!("unknown worker flag {other:?}")),
+impl Flags for WorkerFlags {
+    const NAME: &'static str = "worker";
+    const ABOUT: &'static str = "pull cells from a serve node and compute them";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--addr A: serve node address", |f, v| {
+            v.parse().map(|a| f.addr = a)
+        }),
+        flag("--lease-ms N: lease per claim", |f, v| {
+            v.positive().map(|n| f.config.lease_ms = n)
+        }),
+        flag("--poll-ms N: idle poll interval", |f, v| {
+            v.positive().map(|n| f.config.poll_ms = n)
+        }),
+        flag("--max-cells N: stop after N (0: never)", |f, v| {
+            v.parse().map(|n| f.config.max_cells = n)
+        }),
+        switch("--exit-when-idle: exit once the queue stays empty", |f| {
+            f.config.idle_exit_polls = 3
+        }),
+        flag("--retry-base-ms N: first backoff", |f, v| {
+            v.positive().map(|n| f.config.backoff.base_ms = n)
+        }),
+        flag("--retry-cap-ms N: longest backoff", |f, v| {
+            v.positive().map(|n| f.config.backoff.cap_ms = n)
+        }),
+        flag("--backoff-seed S: jitter seed", |f, v| {
+            v.parse().map(|n| f.config.backoff.seed = n)
+        }),
+        flag("--max-errors N: quit after N straight errors", |f, v| {
+            v.parse().map(|n| f.config.max_consecutive_errors = n)
+        }),
+        flag("--breaker-threshold N: trip after N (0: off)", |f, v| {
+            v.parse().map(|n| f.breaker_threshold = n)
+        }),
+        flag("--breaker-cooldown-ms N: wait before a probe", |f, v| {
+            v.parse().map(|n| f.breaker_cooldown_ms = n)
+        }),
+        flag("--chaos-seed S: fault seed", |f, v| {
+            v.parse().map(|n| f.chaos.seed = n)
+        }),
+        flag("--chaos-drop-request PCT: drop requests", |f, v| {
+            v.percent().map(|n| f.chaos.drop_request_percent = n)
+        }),
+        flag("--chaos-drop-response PCT: drop responses", |f, v| {
+            v.percent().map(|n| f.chaos.drop_response_percent = n)
+        }),
+        flag("--chaos-latency-percent PCT: delay calls", |f, v| {
+            v.percent().map(|n| f.chaos.latency_percent = n)
+        }),
+        flag("--chaos-latency-ms N: added delay", |f, v| {
+            v.parse().map(|n| f.chaos.latency_ms = n)
+        }),
+        flag("--chaos-stall-percent PCT: stall calls", |f, v| {
+            v.percent().map(|n| f.chaos.stall_percent = n)
+        }),
+        flag("--chaos-stall-ms N: stall length", |f, v| {
+            v.parse().map(|n| f.chaos.stall_ms = n)
+        }),
+        flag("--chaos-partial-percent PCT: short writes", |f, v| {
+            v.percent().map(|n| f.chaos.partial_write_percent = n)
+        }),
+        flag("--trace FILE: append span events to this log", |f, v| {
+            v.parse().map(|p| f.trace = Some(p))
+        }),
+    ];
+
+    fn defaults() -> Self {
+        WorkerFlags {
+            addr: "127.0.0.1:7878".into(),
+            config: ahn_serve::WorkerConfig::default(),
+            breaker_threshold: 8,
+            breaker_cooldown_ms: 1_000,
+            chaos: ahn_serve::FaultPlan::none(),
+            trace: None,
         }
     }
-    Ok(flags)
 }
 
 /// `ahn-exp worker`: pull cells from a serve node over
 /// `POST /v1/work/claim` / `complete` until told to stop (or, with
 /// `--exit-when-idle`, until the queue stays empty).
-fn worker(args: &[String]) {
-    let flags = match parse_worker_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn worker(flags: WorkerFlags) {
     eprintln!("worker: pulling cells from {}...", flags.addr);
     if flags.chaos.is_active() {
         eprintln!("worker: chaos enabled: {:?}", flags.chaos);
     }
-    let trace = flags.trace.as_deref().map(|path| {
-        match ahn_obs::TraceLog::open(
-            std::path::Path::new(path),
-            &format!("worker:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let trace = open_trace(flags.trace.as_deref(), "worker");
     let mut transport = ahn_serve::CircuitBreaker::new(
         ahn_serve::FlakyTransport::new(ahn_serve::HttpTransport::new(&flags.addr), flags.chaos),
         flags.breaker_threshold,
         std::time::Duration::from_millis(flags.breaker_cooldown_ms),
     );
-    match ahn_serve::run_worker_observed(&mut transport, &flags.config, trace.as_ref()) {
-        Ok((report, telemetry)) => {
-            eprintln!(
-                "worker: {} completed, {} failed, {} duplicates, {} dropped, {} empty polls, {} breaker trips",
-                report.completed,
-                report.failed,
-                report.duplicates,
-                report.dropped,
-                report.empty_polls,
-                report.breaker_opens
-            );
-            // The machine-readable exit summary: one JSON line on
-            // stdout (the human-readable progress stays on stderr).
-            let summary = ahn_serve::WorkerSummary::new(&report, &telemetry);
-            match serde_json::to_string(&summary) {
-                Ok(line) => println!("{line}"),
-                Err(e) => eprintln!("warning: cannot serialize worker summary: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    let run = ahn_serve::run_worker_observed(&mut transport, &flags.config, trace.as_ref());
+    let (report, telemetry) = or_exit(run, 1);
+    eprintln!(
+        "worker: {} completed, {} failed, {} duplicates, {} dropped, {} empty polls, {} breaker trips",
+        report.completed,
+        report.failed,
+        report.duplicates,
+        report.dropped,
+        report.empty_polls,
+        report.breaker_opens
+    );
+    // The machine-readable exit summary: one JSON line on stdout (the
+    // human-readable progress stays on stderr).
+    let summary = ahn_serve::WorkerSummary::new(&report, &telemetry);
+    match serde_json::to_string(&summary) {
+        Ok(line) => println!("{line}"),
+        Err(e) => eprintln!("warning: cannot serialize worker summary: {e}"),
     }
 }
 
-/// `ahn-exp sweep` flags: the grid axes plus the shared experiment
-/// options for the base configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// `ahn-exp sweep` flags: the grid axes plus the experiment flags for
+/// the base configuration.
+#[derive(Debug)]
 struct SweepFlags {
     scenarios: Option<Vec<String>>,
     cases: Vec<usize>,
@@ -724,95 +748,70 @@ struct SweepFlags {
     via: Option<String>,
     /// Checkpoint completed cells to this journal; resume skips them.
     journal: Option<String>,
-    /// Span trace log path (`--trace`): local runs record per-cell
-    /// lifecycles and per-generation hot-loop samples, `--via` runs
-    /// record the coordinator's side of every cell.
-    trace: Option<String>,
-    /// Remaining (non-sweep) flags, handed to [`Options::parse`].
-    rest: Vec<String>,
+    /// The base configuration. Its `--trace` log records, for local
+    /// runs, per-cell lifecycles and per-generation hot-loop samples;
+    /// for `--via` runs, the coordinator's side of every cell.
+    exp: Options,
 }
 
-/// Parses a non-empty comma-separated flag value (shared by the
-/// sweep/calibrate/fidelity flag parsers).
-fn list<T: std::str::FromStr>(name: &str, text: &str) -> Result<Vec<T>, String> {
-    let items: Result<Vec<T>, _> = text.split(',').map(str::parse).collect();
-    match items {
-        Ok(v) if !v.is_empty() => Ok(v),
-        _ => Err(format!("{name} needs a comma-separated list")),
-    }
-}
+impl Flags for SweepFlags {
+    const NAME: &'static str = "sweep";
+    const ABOUT: &'static str = "scenario-sweep grid: case x payoff x size x seed-block";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--scenarios LIST: adversary-zoo scenarios", |f, v| {
+            v.scenario_names().map(|s| f.scenarios = Some(s))
+        }),
+        flag("--cases LIST: paper cases (1-4)", |f, v| {
+            v.list().map(|c| f.cases = c)
+        }),
+        flag("--payoffs LIST: payoff tables", |f, v| {
+            v.list().map(|p| f.payoffs = p)
+        }),
+        flag("--sizes LIST: participant counts", |f, v| {
+            v.list().map(|s| f.sizes = s)
+        }),
+        flag("--seed-blocks N: seed-block count", |f, v| {
+            v.positive().map(|n| f.seed_blocks = n)
+        }),
+        switch("--json: print the report as JSON", |f| f.json = true),
+        flag("--via ADDR: run the cells on a serve node", |f, v| {
+            v.parse().map(|a| f.via = Some(a))
+        }),
+        flag("--journal FILE: checkpoint (needs --via)", |f, v| {
+            v.parse().map(|p| f.journal = Some(p))
+        }),
+    ];
 
-/// Forwards an unrecognized flag (and its value, if any) to the shared
-/// experiment options, which `Options::parse` validates later. Every
-/// `Options` flag takes a value, so the greedy pairing is safe.
-fn pass_through(rest: &mut Vec<String>, flag: &str, it: &mut std::slice::Iter<'_, String>) {
-    rest.push(flag.into());
-    if let Some(v) = it.next() {
-        rest.push(v.clone());
-    }
-}
-
-fn parse_sweep_flags(args: &[String]) -> Result<SweepFlags, String> {
-    let mut flags = SweepFlags {
-        scenarios: None,
-        cases: vec![1],
-        payoffs: vec!["paper".into()],
-        sizes: vec![50],
-        seed_blocks: 1,
-        json: false,
-        via: None,
-        journal: None,
-        trace: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--scenarios" => {
-                let names: Vec<String> = list("--scenarios", value("--scenarios")?)?;
-                if names.iter().any(String::is_empty) {
-                    return Err("--scenarios needs non-empty scenario names".into());
-                }
-                flags.scenarios = Some(names);
-            }
-            "--payoffs" => flags.payoffs = list("--payoffs", value("--payoffs")?)?,
-            "--sizes" => flags.sizes = list("--sizes", value("--sizes")?)?,
-            "--seed-blocks" => match value("--seed-blocks")?.parse() {
-                Ok(n) if n > 0 => flags.seed_blocks = n,
-                _ => return Err("--seed-blocks needs a positive integer".into()),
-            },
-            "--json" => flags.json = true,
-            "--via" => flags.via = Some(value("--via")?.clone()),
-            "--journal" => flags.journal = Some(value("--journal")?.clone()),
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => pass_through(&mut flags.rest, other, &mut it),
+    fn defaults() -> Self {
+        SweepFlags {
+            scenarios: None,
+            cases: vec![1],
+            payoffs: vec!["paper".into()],
+            sizes: vec![50],
+            seed_blocks: 1,
+            json: false,
+            via: None,
+            journal: None,
+            exp: Options::defaults(),
         }
     }
-    if flags.journal.is_some() && flags.via.is_none() {
-        return Err("--journal requires --via (it checkpoints a distributed run)".into());
+
+    fn experiment(&mut self) -> Option<&mut Options> {
+        Some(&mut self.exp)
     }
-    Ok(flags)
+
+    fn finish(&mut self) -> Result<(), String> {
+        journal_needs_via(&self.journal, &self.via)
+    }
 }
 
-/// Opens the coordinator-side trace log for a `--via` run, exiting on
-/// failure (shared by `sweep` and `calibrate`).
-fn open_coordinator_trace(path: Option<&str>) -> Option<ahn_obs::TraceLog> {
-    path.map(|p| {
-        match ahn_obs::TraceLog::open(
-            std::path::Path::new(p),
-            &format!("coordinator:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {p}: {e}");
-                std::process::exit(2);
-            }
+fn journal_needs_via(journal: &Option<String>, via: &Option<String>) -> Result<(), String> {
+    match (journal, via) {
+        (Some(_), None) => {
+            Err("--journal requires --via (it checkpoints a distributed run)".into())
         }
-    })
+        _ => Ok(()),
+    }
 }
 
 /// `ahn-exp sweep`: run a (case x payoff x size x seed-block) grid with
@@ -820,22 +819,8 @@ fn open_coordinator_trace(path: Option<&str>) -> Option<ahn_obs::TraceLog> {
 /// (`ahn_core::sweeps::run_sweep`), or — with `--via ADDR` — through a
 /// serve node, merging the distributed cells to the bit-identical
 /// report.
-fn sweep(args: &[String]) {
-    let flags = match parse_sweep_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let opts = match Options::parse(&flags.rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+fn sweep(flags: SweepFlags) {
+    let opts = &flags.exp;
     let grid = ahn_core::SweepGrid {
         base: opts.config.clone(),
         scenarios: flags.scenarios,
@@ -856,31 +841,17 @@ fn sweep(args: &[String]) {
     );
     let report = if let Some(addr) = &flags.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_coordinator_trace(flags.trace.as_deref());
+        let trace = open_trace(opts.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = flags.journal.as_deref().map(std::path::Path::new);
-        match ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if let Some(path) = &flags.trace {
+        let journal = flags.journal.as_deref().map(Path::new);
+        let report =
+            ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref());
+        or_exit(report, 2)
+    } else if let Some(log) = open_trace(opts.trace.as_deref(), "ahn-exp") {
         // The observed path: bit-identical report, but every cell
         // lifecycle and per-generation hot-loop sample lands in the
         // trace log (ahn_core::run_sweep_observed keeps the unobserved
         // path's NoopRecorder at zero cost).
-        let log = match ahn_obs::TraceLog::open(
-            std::path::Path::new(path),
-            &format!("ahn-exp:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {path}: {e}");
-                std::process::exit(2);
-            }
-        };
         let observe = |obs: ahn_core::SweepObservation<'_>| match obs {
             ahn_core::SweepObservation::CellStart {
                 spec, config_hash, ..
@@ -924,29 +895,11 @@ fn sweep(args: &[String]) {
                 );
             }
         };
-        match ahn_core::run_sweep_observed(&grid, &observe) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(ahn_core::run_sweep_observed(&grid, &observe), 2)
     } else {
-        match ahn_core::run_sweep(&grid) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(ahn_core::run_sweep(&grid), 2)
     };
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
-    };
+    let json = serialized(serde_json::to_string_pretty(&report));
     if flags.json {
         println!("{json}");
     } else {
@@ -955,9 +908,9 @@ fn sweep(args: &[String]) {
     opts.maybe_write("sweep.json", &json);
 }
 
-/// `ahn-exp calibrate` flags: the search axes plus the shared
-/// experiment options for the base configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// `ahn-exp calibrate` flags: the search axes plus the experiment
+/// flags for the base configuration.
+#[derive(Debug)]
 struct CalibrateFlags {
     cases: Vec<usize>,
     scales: Vec<f64>,
@@ -971,159 +924,175 @@ struct CalibrateFlags {
     via: Option<String>,
     /// Checkpoint completed cells to this journal; resume skips them.
     journal: Option<String>,
-    /// Span trace log path (`--trace`); the coordinator records its
-    /// side of every cell (requires `--via`).
-    trace: Option<String>,
-    /// Remaining (non-calibrate) flags, handed to [`Options::parse`].
-    rest: Vec<String>,
+    /// The base configuration: the `smoke` preset unless overridden, so
+    /// a bare `ahn-exp calibrate` finishes in seconds. Its `--trace` log
+    /// records the coordinator's side of every cell (requires `--via`).
+    exp: Options,
 }
 
-fn parse_calibrate_flags(args: &[String]) -> Result<CalibrateFlags, String> {
-    let mut flags = CalibrateFlags {
-        cases: vec![1, 2, 3, 4],
-        scales: vec![1.0],
-        selections: vec!["paper".into()],
-        size: 10,
-        seed_blocks: 1,
-        max_candidates: 0,
-        json: false,
-        via: None,
-        journal: None,
-        trace: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--scales" => flags.scales = list("--scales", value("--scales")?)?,
-            "--selections" => {
-                flags.selections = value("--selections")?
-                    .split(',')
-                    .map(str::to_owned)
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if flags.selections.is_empty() {
-                    return Err("--selections needs a comma-separated list".into());
-                }
+impl Flags for CalibrateFlags {
+    const NAME: &'static str = "calibrate";
+    const ABOUT: &'static str =
+        "reconstruction search over payoff tables, scored against the paper (base: smoke)";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--cases LIST: paper cases (1-4)", |f, v| {
+            v.list().map(|c| f.cases = c)
+        }),
+        flag("--scales LIST: payoff scales", |f, v| {
+            v.list().map(|s| f.scales = s)
+        }),
+        flag("--selections LIST: selection variants", |f, v| {
+            let text = v.text("a value")?;
+            let items = text.split(',').filter(|s| !s.is_empty());
+            f.selections = items.map(str::to_owned).collect();
+            if f.selections.is_empty() {
+                return Err(v.needs("a comma-separated list"));
             }
-            "--size" => match value("--size")?.parse() {
-                Ok(n) if n >= 3 => flags.size = n,
-                _ => return Err("--size needs an integer >= 3".into()),
-            },
-            "--seed-blocks" => match value("--seed-blocks")?.parse() {
-                Ok(n) if n > 0 => flags.seed_blocks = n,
-                _ => return Err("--seed-blocks needs a positive integer".into()),
-            },
-            "--max-candidates" => {
-                flags.max_candidates = value("--max-candidates")?
-                    .parse()
-                    .map_err(|e| format!("--max-candidates: {e}"))?
-            }
-            "--json" => flags.json = true,
-            "--via" => flags.via = Some(value("--via")?.clone()),
-            "--journal" => flags.journal = Some(value("--journal")?.clone()),
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => pass_through(&mut flags.rest, other, &mut it),
+            Ok(())
+        }),
+        flag("--size N: participants per cell", |f, v| {
+            v.size().map(|n| f.size = n)
+        }),
+        flag("--seed-blocks N: seed-block count", |f, v| {
+            v.positive().map(|n| f.seed_blocks = n)
+        }),
+        flag("--max-candidates N: candidate cap (0: all)", |f, v| {
+            v.parse().map(|n| f.max_candidates = n)
+        }),
+        switch("--json: print the report as JSON", |f| f.json = true),
+        flag("--via ADDR: run the cells on a serve node", |f, v| {
+            v.parse().map(|a| f.via = Some(a))
+        }),
+        flag("--journal FILE: checkpoint (needs --via)", |f, v| {
+            v.parse().map(|p| f.journal = Some(p))
+        }),
+    ];
+
+    fn defaults() -> Self {
+        CalibrateFlags {
+            cases: vec![1, 2, 3, 4],
+            scales: vec![1.0],
+            selections: vec!["paper".into()],
+            size: 10,
+            seed_blocks: 1,
+            max_candidates: 0,
+            json: false,
+            via: None,
+            journal: None,
+            exp: Options::over(ExperimentConfig::smoke()),
         }
     }
-    if flags.journal.is_some() && flags.via.is_none() {
-        return Err("--journal requires --via (it checkpoints a distributed run)".into());
+
+    fn experiment(&mut self) -> Option<&mut Options> {
+        Some(&mut self.exp)
     }
-    if flags.trace.is_some() && flags.via.is_none() {
-        return Err("calibrate --trace requires --via (it records the coordinator's spans)".into());
+
+    fn finish(&mut self) -> Result<(), String> {
+        journal_needs_via(&self.journal, &self.via)?;
+        match (&self.exp.trace, &self.via) {
+            (Some(_), None) => {
+                Err("calibrate --trace requires --via (it records the coordinator's spans)".into())
+            }
+            _ => Ok(()),
+        }
     }
-    Ok(flags)
 }
 
-/// `ahn-exp scenario`: the adversary-zoo registry front end —
-/// `list` prints every built-in scenario (name, hash, summary),
-/// `run NAME` evaluates one scenario against a chosen defense.
-fn scenario(args: &[String]) {
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            let json = args.iter().any(|a| a == "--json");
-            let all = ahn_core::builtin_scenarios();
-            if json {
-                println!("{}", serde_json::to_string_pretty(&all).unwrap());
-                return;
-            }
-            println!("{} scenarios (rows of `ahn-exp atlas`):", all.len());
-            for s in &all {
-                println!(
-                    "  {:<18} {:016x}  {}",
-                    s.name,
-                    s.canonical_hash(),
-                    s.summary
-                );
-            }
+/// `ahn-exp scenario list` flags.
+#[derive(Debug, Default)]
+struct ScenarioList {
+    json: bool,
+}
+
+impl Flags for ScenarioList {
+    const NAME: &'static str = "scenario list";
+    const ABOUT: &'static str = "the adversary-zoo registry: name, hash, summary";
+    const TABLE: &'static [Flag<Self>] = &[switch("--json: print it as JSON", |f| f.json = true)];
+
+    fn defaults() -> Self {
+        Self::default()
+    }
+}
+
+/// `ahn-exp scenario list`: every built-in scenario (the rows of
+/// `ahn-exp atlas`).
+fn scenario_list(flags: ScenarioList) {
+    let all = ahn_core::builtin_scenarios();
+    if flags.json {
+        println!("{}", serialized(serde_json::to_string_pretty(&all)));
+        return;
+    }
+    println!("{} scenarios (rows of `ahn-exp atlas`):", all.len());
+    for s in &all {
+        println!(
+            "  {:<18} {:016x}  {}",
+            s.name,
+            s.canonical_hash(),
+            s.summary
+        );
+    }
+}
+
+/// `ahn-exp scenario run NAME` flags.
+#[derive(Debug)]
+struct ScenarioRun {
+    name: Option<String>,
+    defense: String,
+    size: usize,
+    /// The base configuration: the smoke preset unless overridden, so a
+    /// bare `ahn-exp scenario run slanderers` finishes in seconds.
+    exp: Options,
+}
+
+impl Flags for ScenarioRun {
+    const NAME: &'static str = "scenario run";
+    const ARGS: &'static str = "NAME";
+    const ABOUT: &'static str = "one scenario vs one defense on a case-1 world (base: smoke)";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--defense D: watchdog, core or confidant", |f, v| {
+            v.parse().map(|d| f.defense = d)
+        }),
+        flag("--size N: participants", |f, v| {
+            v.size().map(|n| f.size = n)
+        }),
+    ];
+
+    fn defaults() -> Self {
+        ScenarioRun {
+            name: None,
+            defense: "watchdog".into(),
+            size: 10,
+            exp: Options::over(ExperimentConfig::smoke()),
         }
-        Some("run") => scenario_run(&args[1..]),
-        Some(other) => {
-            eprintln!("error: unknown scenario subcommand {other:?} (list|run)");
-            std::process::exit(2);
+    }
+
+    fn experiment(&mut self) -> Option<&mut Options> {
+        Some(&mut self.exp)
+    }
+
+    fn positional(&mut self, arg: &str) -> Result<(), String> {
+        match self.name.replace(arg.to_owned()) {
+            None => Ok(()),
+            Some(_) => Err(format!("unexpected argument {arg:?}")),
         }
-        None => {
-            eprintln!("error: scenario needs a subcommand (list|run)");
-            std::process::exit(2);
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        match self.name {
+            Some(_) => Ok(()),
+            None => Err("scenario run needs a scenario name (try `ahn-exp scenario list`)".into()),
         }
     }
 }
 
 /// `ahn-exp scenario run NAME`: resolve the scenario, apply it to a
 /// scaled case-1 world, run the experiment, print the usual report.
-fn scenario_run(args: &[String]) {
-    let mut name = None;
-    let mut defense = "watchdog".to_string();
-    let mut size = 10usize;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--defense" => match it.next() {
-                Some(d) => defense = d.clone(),
-                None => {
-                    eprintln!("error: --defense needs a value");
-                    std::process::exit(2);
-                }
-            },
-            "--size" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) if n >= 3 => size = n,
-                _ => {
-                    eprintln!("error: --size needs an integer >= 3");
-                    std::process::exit(2);
-                }
-            },
-            flag if flag.starts_with("--") => pass_through(&mut rest, flag, &mut it),
-            bare if name.is_none() => name = Some(bare.to_string()),
-            extra => {
-                eprintln!("error: unexpected argument {extra:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("error: scenario run needs a scenario name (try `ahn-exp scenario list`)");
-        std::process::exit(2);
-    };
-    // Default to the smoke preset (like calibrate) so a bare
-    // `ahn-exp scenario run slanderers` finishes in seconds.
-    let mut base_args = vec!["--preset".to_string(), "smoke".to_string()];
-    base_args.extend(rest);
-    let opts = match Options::parse(&base_args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+fn scenario_run(flags: ScenarioRun) {
+    let name = flags.name.unwrap_or_default();
+    let (defense, size) = (flags.defense, flags.size);
     let run = || -> Result<(), String> {
         let scenario = ahn_core::resolve_scenario(&name)?;
-        let mut config = opts.config.clone();
+        let mut config = flags.exp.config.clone();
         config.gossip = ahn_core::atlas::resolve_defense(&defense)?;
         let case = CaseSpec::mini(&name, &[0], size, ahn_core::PathMode::Shorter);
         let (config, case) = scenario.apply(&config, &case)?;
@@ -1147,91 +1116,71 @@ fn scenario_run(args: &[String]) {
         }
         Ok(())
     };
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    or_exit(run(), 2);
+}
+
+/// `ahn-exp atlas` flags.
+#[derive(Debug)]
+struct AtlasFlags {
+    grid: ahn_core::AtlasGrid,
+    json_path: Option<String>,
+    out_path: Option<String>,
+}
+
+impl Flags for AtlasFlags {
+    const NAME: &'static str = "atlas";
+    const ABOUT: &'static str = "scenario x defense grid: markdown to stdout or --out";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--json FILE: write the JSON report", |f, v| {
+            v.text("a file path").map(|p| f.json_path = Some(p))
+        }),
+        flag("--out FILE: write the markdown", |f, v| {
+            v.text("a file path").map(|p| f.out_path = Some(p))
+        }),
+        flag("--scenarios LIST: rows (default all)", |f, v| {
+            v.scenario_names().map(|s| f.grid.scenarios = s)
+        }),
+        flag("--size N: participants per cell", |f, v| {
+            v.size().map(|n| f.grid.size = n)
+        }),
+    ];
+
+    fn defaults() -> Self {
+        let grid = ahn_core::AtlasGrid::smoke();
+        let (json_path, out_path) = (None, None);
+        AtlasFlags {
+            grid,
+            json_path,
+            out_path,
+        }
     }
 }
 
 /// `ahn-exp atlas`: run the scenario x defense grid and emit the
 /// committed artifacts — markdown to stdout or `--out`, the
 /// byte-stable JSON report to `--json`.
-fn atlas(args: &[String]) {
-    let mut grid = ahn_core::AtlasGrid::smoke();
-    let mut json_path = None;
-    let mut out_path = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--scenarios" => match it.next() {
-                Some(names) => {
-                    grid.scenarios = names.split(',').map(str::to_string).collect();
-                }
-                None => {
-                    eprintln!("error: --scenarios needs a comma-separated list");
-                    std::process::exit(2);
-                }
-            },
-            "--size" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) if n >= 3 => grid.size = n,
-                _ => {
-                    eprintln!("error: --size needs an integer >= 3");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown atlas flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+fn atlas(flags: AtlasFlags) {
+    let grid = flags.grid;
     eprintln!(
         "atlas: {} scenarios x {} defenses at {} participants...",
         grid.scenarios.len(),
         ahn_core::atlas::DEFENSES.len(),
         grid.size
     );
-    let report = match ahn_core::run_atlas(&grid) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let report = or_exit(ahn_core::run_atlas(&grid), 2);
+    let write = |path: &str, text: &str| {
+        let written = std::fs::write(path, text);
+        or_exit(written.map_err(|e| format!("cannot write {path}: {e}")), 2);
+        eprintln!("  wrote {path}");
     };
-    if let Some(path) = &json_path {
+    if let Some(path) = &flags.json_path {
         // serde_json's compact form is deterministic; a trailing
         // newline keeps the committed file POSIX-friendly.
-        let mut bytes = serde_json::to_string(&report).unwrap();
-        bytes.push('\n');
-        if let Err(e) = std::fs::write(path, bytes) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("  wrote {path}");
+        write(path, &(serialized(serde_json::to_string(&report)) + "\n"));
     }
     let md = ahn_core::render_atlas(&report);
-    match &out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &md) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("  wrote {path}");
-        }
+    match &flags.out_path {
+        Some(path) => write(path, &md),
         None => print!("{md}"),
     }
 }
@@ -1239,28 +1188,9 @@ fn atlas(args: &[String]) {
 /// `ahn-exp calibrate`: search the reconstruction space of the garbled
 /// Fig. 2 payoff table (x scale x selection variant), scoring every
 /// candidate against the paper's per-case cooperation targets
-/// (`ahn_core::calibrate`). The base configuration defaults to the
-/// `smoke` preset (not `scaled`) so a bare `ahn-exp calibrate` finishes
-/// in seconds; override with the usual experiment flags.
-fn calibrate(args: &[String]) {
-    let flags = match parse_calibrate_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    // Prepend the default preset so explicit flags in `rest` override it.
-    let mut base_args = vec!["--preset".to_string(), "smoke".to_string()];
-    base_args.extend(flags.rest.iter().cloned());
-    let opts = match Options::parse(&base_args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+/// (`ahn_core::calibrate`).
+fn calibrate(flags: CalibrateFlags) {
+    let opts = &flags.exp;
     let grid = ahn_core::CalibrationGrid {
         base: opts.config.clone(),
         cases: flags.cases,
@@ -1280,38 +1210,21 @@ fn calibrate(args: &[String]) {
     );
     let report = if let Some(addr) = &flags.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_coordinator_trace(flags.trace.as_deref());
+        let trace = open_trace(opts.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = flags.journal.as_deref().map(std::path::Path::new);
-        match ahn_serve::run_calibration_via_traced(
+        let journal = flags.journal.as_deref().map(Path::new);
+        let report = ahn_serve::run_calibration_via_traced(
             &mut transport,
             &grid,
             journal,
             10,
             trace.as_ref(),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        );
+        or_exit(report, 2)
     } else {
-        match ahn_core::run_calibration(&grid) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(ahn_core::run_calibration(&grid), 2)
     };
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
-    };
+    let json = serialized(serde_json::to_string_pretty(&report));
     if flags.json {
         println!("{json}");
     } else {
@@ -1324,61 +1237,53 @@ fn calibrate(args: &[String]) {
 }
 
 /// `ahn-exp fidelity` flags.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct FidelityFlags {
     cases: Vec<usize>,
     tolerance: f64,
-    rest: Vec<String>,
+    exp: Options,
 }
 
-fn parse_fidelity_flags(args: &[String]) -> Result<FidelityFlags, String> {
-    let mut flags = FidelityFlags {
-        cases: vec![1, 3],
-        tolerance: 0.15,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--tol" => match value("--tol")?.parse::<f64>() {
-                Ok(f) if (0.0..=1.0).contains(&f) => flags.tolerance = f,
-                _ => return Err("--tol needs a fraction in [0, 1]".into()),
-            },
-            other => pass_through(&mut flags.rest, other, &mut it),
+impl Flags for FidelityFlags {
+    const NAME: &'static str = "fidelity";
+    const ABOUT: &'static str = "exit 1 unless every case is within --tol of the paper";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--cases LIST: paper cases, 1..=4", |f, v| {
+            v.list().map(|c| f.cases = c)
+        }),
+        flag("--tol F: allowed absolute error", |f, v| {
+            v.fraction().map(|x| f.tolerance = x)
+        }),
+    ];
+
+    fn defaults() -> Self {
+        let exp = Options::defaults();
+        FidelityFlags {
+            cases: vec![1, 3],
+            tolerance: 0.15,
+            exp,
         }
     }
-    for &c in &flags.cases {
-        if !(1..=4).contains(&c) {
-            return Err(format!("the paper defines cases 1..=4, not {c}"));
+
+    fn experiment(&mut self) -> Option<&mut Options> {
+        Some(&mut self.exp)
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        match self.cases.iter().find(|c| !(1..=4).contains(*c)) {
+            Some(c) => Err(format!("the paper defines cases 1..=4, not {c}")),
+            None => Ok(()),
         }
     }
-    Ok(flags)
 }
 
 /// `ahn-exp fidelity`: run the given paper cases and exit non-zero when
 /// any final cooperation level lands outside `--tol` of the paper's
 /// target — the CI guard that hot-path work cannot silently break the
 /// model where it is known to reproduce.
-fn fidelity(args: &[String]) {
-    let flags = match parse_fidelity_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let opts = match Options::parse(&flags.rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+fn fidelity(mut flags: FidelityFlags) {
+    flags.exp.log = open_trace(flags.exp.trace.as_deref(), "ahn-exp");
+    let opts = &flags.exp;
     println!(
         "reproduction fidelity: {} replications x {} generations, R={}, tolerance {:.0}%",
         opts.config.replications,
@@ -1388,7 +1293,7 @@ fn fidelity(args: &[String]) {
     );
     let mut failed = false;
     for &case_no in &flags.cases {
-        let result = run_case(&opts, case_no);
+        let result = run_case(opts, case_no);
         // Single-environment cases check the aggregate §6.2 number;
         // multi-environment cases check each environment against its
         // Table 5 column (the aggregate would blur four very different
@@ -1429,92 +1334,99 @@ fn fidelity(args: &[String]) {
         }
     }
     if failed {
-        eprintln!(
-            "error: reproduction fidelity violated (tolerance {:.0}%)",
-            flags.tolerance * 100.0
+        let tolerance = flags.tolerance * 100.0;
+        fail(
+            1,
+            format!("reproduction fidelity violated (tolerance {tolerance:.0}%)"),
         );
-        std::process::exit(1);
     }
 }
 
-/// Parsed command-line options.
-#[derive(Debug)]
+/// The experiment flags: a base configuration (the last `--preset` or
+/// `--config` given, else the command's default) with the field flags
+/// applied on top of it, in whatever order they came. The derived
+/// `Default` (paper base) only fills [`Options::over`]; commands start
+/// from their own base.
+#[derive(Debug, Default)]
 struct Options {
+    /// The base while parsing; the resolved configuration afterwards.
     config: ExperimentConfig,
-    out_dir: Option<std::path::PathBuf>,
-    /// Span trace log (`--trace FILE`): experiment commands record each
-    /// case's lifecycle and per-generation hot-loop samples into it.
-    trace: Option<ahn_obs::TraceLog>,
+    reps: Option<usize>,
+    gens: Option<usize>,
+    rounds: Option<usize>,
+    seed: Option<u64>,
+    out_dir: Option<PathBuf>,
+    /// Span trace log path (`--trace FILE`): experiment commands record
+    /// each case's lifecycle and per-generation hot-loop samples into
+    /// it, through `log`.
+    trace: Option<String>,
+    /// The `--trace` log, opened once parsing is done.
+    log: Option<ahn_obs::TraceLog>,
+}
+
+impl Flags for Options {
+    const NAME: &'static str = "";
+    const ABOUT: &'static str = "the experiment flags";
+    const TABLE: &'static [Flag<Self>] = &[
+        flag("--preset NAME: base: smoke, scaled or paper", |o, v| {
+            o.config = match v.text("a value")?.as_str() {
+                "smoke" => ExperimentConfig::smoke(),
+                "scaled" => ExperimentConfig::scaled(),
+                "paper" => ExperimentConfig::paper(),
+                other => return Err(format!("unknown preset {other:?}")),
+            };
+            Ok(())
+        }),
+        flag("--config FILE: base: ExperimentConfig JSON", |o, v| {
+            let path = v.text("a value")?;
+            let text = std::fs::read_to_string(&path);
+            let text = text.map_err(|e| format!("cannot read {path}: {e}"))?;
+            let config = serde_json::from_str(&text);
+            o.config = config.map_err(|e| format!("cannot parse {path}: {e}"))?;
+            Ok(())
+        }),
+        flag("--reps N: replications", |o, v| {
+            v.parse().map(|n| o.reps = Some(n))
+        }),
+        flag("--gens N: generations", |o, v| {
+            v.parse().map(|n| o.gens = Some(n))
+        }),
+        flag("--rounds N: tournament rounds R", |o, v| {
+            v.parse().map(|n| o.rounds = Some(n))
+        }),
+        flag("--seed S: base seed", |o, v| {
+            v.parse().map(|n| o.seed = Some(n))
+        }),
+        flag("--out DIR: also write the artifact files here", |o, v| {
+            v.parse().map(|d| o.out_dir = Some(d))
+        }),
+        flag("--trace FILE: append span events to this log", |o, v| {
+            v.parse().map(|p| o.trace = Some(p))
+        }),
+    ];
+
+    fn defaults() -> Self {
+        Options::over(ExperimentConfig::scaled())
+    }
+
+    /// Applies the field flags to the base and validates the result.
+    fn finish(&mut self) -> Result<(), String> {
+        let config = &mut self.config;
+        config.replications = self.reps.unwrap_or(config.replications);
+        config.generations = self.gens.unwrap_or(config.generations);
+        config.rounds = self.rounds.unwrap_or(config.rounds);
+        config.base_seed = self.seed.unwrap_or(config.base_seed);
+        config.validate()
+    }
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
-        let mut config = ExperimentConfig::scaled();
-        let mut out_dir = None;
-        let mut trace = None;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
-                "--preset" => {
-                    config = match value("--preset")?.as_str() {
-                        "smoke" => ExperimentConfig::smoke(),
-                        "scaled" => ExperimentConfig::scaled(),
-                        "paper" => ExperimentConfig::paper(),
-                        other => return Err(format!("unknown preset {other:?}")),
-                    };
-                }
-                "--reps" => {
-                    config.replications = value("--reps")?
-                        .parse()
-                        .map_err(|e| format!("--reps: {e}"))?
-                }
-                "--gens" => {
-                    config.generations = value("--gens")?
-                        .parse()
-                        .map_err(|e| format!("--gens: {e}"))?
-                }
-                "--rounds" => {
-                    config.rounds = value("--rounds")?
-                        .parse()
-                        .map_err(|e| format!("--rounds: {e}"))?
-                }
-                "--seed" => {
-                    config.base_seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--config" => {
-                    let path = value("--config")?;
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    config = serde_json::from_str(&text)
-                        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-                }
-                "--out" => out_dir = Some(std::path::PathBuf::from(value("--out")?)),
-                "--trace" => {
-                    let path = value("--trace")?;
-                    trace = Some(
-                        ahn_obs::TraceLog::open(
-                            std::path::Path::new(&path),
-                            &format!("ahn-exp:{}", std::process::id()),
-                        )
-                        .map_err(|e| format!("cannot open trace log {path}: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
-        config.validate()?;
-        Ok(Options {
+    /// No flags yet, over the base `config`.
+    fn over(config: ExperimentConfig) -> Options {
+        Options {
             config,
-            out_dir,
-            trace,
-        })
+            ..Options::default()
+        }
     }
 
     fn maybe_write(&self, name: &str, contents: &str) {
@@ -1538,7 +1450,7 @@ fn run_case(opts: &Options, case_no: usize) -> experiment::ExperimentResult {
         "running {} ({} replications x {} generations, R={})...",
         case.name, opts.config.replications, opts.config.generations, opts.config.rounds
     );
-    let Some(log) = &opts.trace else {
+    let Some(log) = &opts.log else {
         return experiment::run_experiment(&opts.config, &case);
     };
     // The observed path (--trace): same result bit for bit, plus a
@@ -1565,6 +1477,17 @@ fn run_case(opts: &Options, case_no: usize) -> experiment::ExperimentResult {
             .outcome(true),
     );
     result
+}
+
+fn check() {
+    let results = ahn_core::checks::run_all();
+    match ahn_core::checks::render(&results) {
+        Ok(text) => print!("{text}"),
+        Err(text) => {
+            print!("{text}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn fig4(opts: &Options) {
@@ -1901,7 +1824,7 @@ fn trace_join_requested(args: &[String]) -> bool {
 }
 
 /// `ahn-exp trace FILE..` flags.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct TraceJoinFlags {
     /// Fail unless at least this many cells reconstruct end to end.
     require_complete: usize,
@@ -1909,28 +1832,34 @@ struct TraceJoinFlags {
     files: Vec<String>,
 }
 
-fn parse_trace_join_flags(args: &[String]) -> Result<TraceJoinFlags, String> {
-    let mut flags = TraceJoinFlags {
-        require_complete: 0,
-        files: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--require-complete" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => flags.require_complete = n,
-                _ => return Err("--require-complete needs a cell count".into()),
-            },
-            other if other.starts_with("--") => {
-                return Err(format!("unknown trace flag {other:?}"))
-            }
-            path => flags.files.push(path.to_owned()),
+impl Flags for TraceJoinFlags {
+    const NAME: &'static str = "trace";
+    const ARGS: &'static str = "FILE..";
+    const ABOUT: &'static str = "join span logs into per-cell lifecycle trees";
+    const TABLE: &'static [Flag<Self>] = &[flag(
+        "--require-complete N: fail below N complete cells",
+        |f, v| {
+            let any = |_: &usize| true;
+            v.parse_if("a cell count", any)
+                .map(|n| f.require_complete = n)
+        },
+    )];
+
+    fn defaults() -> Self {
+        Self::default()
+    }
+
+    fn positional(&mut self, arg: &str) -> Result<(), String> {
+        self.files.push(arg.to_owned());
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), String> {
+        if self.files.is_empty() {
+            return Err("trace needs at least one span-log file to join".into());
         }
+        Ok(())
     }
-    if flags.files.is_empty() {
-        return Err("trace needs at least one span-log file to join".into());
-    }
-    Ok(flags)
 }
 
 /// `ahn-exp trace FILE..`: join span logs from any number of nodes into
@@ -1938,44 +1867,35 @@ fn parse_trace_join_flags(args: &[String]) -> Result<TraceJoinFlags, String> {
 /// when any spans are orphaned (a log file is missing from the join, or
 /// trace-id propagation broke) or fewer than `--require-complete N`
 /// cells reconstructed end to end — the CI chaos job's assertion.
-fn trace_join(args: &[String]) {
-    let flags = match parse_trace_join_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn trace_join(flags: TraceJoinFlags) {
     let mut events = Vec::new();
     let mut discarded = 0usize;
     for path in &flags.files {
-        match ahn_obs::read_trace(std::path::Path::new(path)) {
-            Ok(read) => {
-                events.extend(read.events);
-                discarded += read.discarded;
-            }
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let read = ahn_obs::read_trace(Path::new(path));
+        let read = or_exit(read.map_err(|e| format!("cannot read {path}: {e}")), 2);
+        events.extend(read.events);
+        discarded += read.discarded;
     }
     let tree = ahn_obs::join_traces(events, discarded);
     print!("{}", ahn_obs::render_tree(&tree));
     if tree.orphan_spans > 0 {
-        eprintln!(
-            "error: {} orphaned spans (a log file is missing from the join, or propagation broke)",
-            tree.orphan_spans
+        fail(
+            1,
+            format!(
+                "{} orphaned spans (a log file is missing from the join, or propagation broke)",
+                tree.orphan_spans
+            ),
         );
-        std::process::exit(1);
     }
     if tree.complete_cells() < flags.require_complete {
-        eprintln!(
-            "error: only {} of the required {} cells reconstructed end to end",
-            tree.complete_cells(),
-            flags.require_complete
+        fail(
+            1,
+            format!(
+                "only {} of the required {} cells reconstructed end to end",
+                tree.complete_cells(),
+                flags.require_complete
+            ),
         );
-        std::process::exit(1);
     }
 }
 
@@ -1989,31 +1909,31 @@ mod tests {
 
     #[test]
     fn bench_flags_parse() {
-        let f = parse_bench_flags(&args(&["--json", "--baseline", "B.json"])).unwrap();
+        let f = parse::<BenchFlags>(&args(&["--json", "--baseline", "B.json"])).unwrap();
         assert!(f.json);
         assert_eq!(f.baseline_path.as_deref(), Some("B.json"));
         assert_eq!(f.max_regression, 2.0);
         assert_eq!(f.threads, vec![1, 4, 8], "default thread sweep");
-        let f = parse_bench_flags(&args(&["--max-regression", "1.5"])).unwrap();
+        let f = parse::<BenchFlags>(&args(&["--max-regression", "1.5"])).unwrap();
         assert_eq!(f.max_regression, 1.5);
-        let f = parse_bench_flags(&args(&["--threads", "1,4"])).unwrap();
+        let f = parse::<BenchFlags>(&args(&["--threads", "1,4"])).unwrap();
         assert_eq!(f.threads, vec![1, 4]);
-        let f = parse_bench_flags(&args(&["--threads", " 8 "])).unwrap();
+        let f = parse::<BenchFlags>(&args(&["--threads", " 8 "])).unwrap();
         assert_eq!(f.threads, vec![8]);
     }
 
     #[test]
     fn bench_flag_errors() {
-        let err = parse_bench_flags(&args(&["--frobnicate"])).unwrap_err();
+        let err = parse::<BenchFlags>(&args(&["--frobnicate"])).unwrap_err();
         assert!(err.contains("unknown bench flag"), "{err}");
-        let err = parse_bench_flags(&args(&["--baseline"])).unwrap_err();
+        let err = parse::<BenchFlags>(&args(&["--baseline"])).unwrap_err();
         assert!(err.contains("--baseline needs a file"), "{err}");
         for bad in [
             &["--max-regression"][..],
             &["--max-regression", "0.5"],
             &["--max-regression", "x"],
         ] {
-            let err = parse_bench_flags(&args(bad)).unwrap_err();
+            let err = parse::<BenchFlags>(&args(bad)).unwrap_err();
             assert!(err.contains("factor >= 1"), "{bad:?}: {err}");
         }
         for bad in [
@@ -2023,16 +1943,16 @@ mod tests {
             &["--threads", "1,x"],
             &["--threads", "1,,4"],
         ] {
-            let err = parse_bench_flags(&args(bad)).unwrap_err();
+            let err = parse::<BenchFlags>(&args(bad)).unwrap_err();
             assert!(err.contains("subset of 1,4,8"), "{bad:?}: {err}");
         }
     }
 
     #[test]
     fn serve_flags_parse() {
-        let c = parse_serve_flags(&args(&[])).unwrap();
+        let c = parse::<ahn_serve::ServerConfig>(&args(&[])).unwrap();
         assert_eq!(c.addr, "127.0.0.1:7172");
-        let c = parse_serve_flags(&args(&[
+        let c = parse::<ahn_serve::ServerConfig>(&args(&[
             "--addr",
             "0.0.0.0:9000",
             "--workers",
@@ -2049,21 +1969,21 @@ mod tests {
         );
         // cache-cap 0 is legal: it disables caching.
         assert_eq!(
-            parse_serve_flags(&args(&["--cache-cap", "0"]))
+            parse::<ahn_serve::ServerConfig>(&args(&["--cache-cap", "0"]))
                 .unwrap()
                 .cache_cap,
             0
         );
         // workers 0 is legal: a pull-only node for external workers.
         assert_eq!(
-            parse_serve_flags(&args(&["--workers", "0"]))
+            parse::<ahn_serve::ServerConfig>(&args(&["--workers", "0"]))
                 .unwrap()
                 .workers,
             0
         );
-        let c = parse_serve_flags(&args(&["--journal", "/tmp/j.log"])).unwrap();
+        let c = parse::<ahn_serve::ServerConfig>(&args(&["--journal", "/tmp/j.log"])).unwrap();
         assert_eq!(c.journal.as_deref(), Some("/tmp/j.log"));
-        let c = parse_serve_flags(&args(&[
+        let c = parse::<ahn_serve::ServerConfig>(&args(&[
             "--read-timeout-ms",
             "100",
             "--idle-timeout-ms",
@@ -2085,7 +2005,7 @@ mod tests {
         );
         // 0 is legal everywhere: it disables that deadline.
         assert_eq!(
-            parse_serve_flags(&args(&["--read-timeout-ms", "0"]))
+            parse::<ahn_serve::ServerConfig>(&args(&["--read-timeout-ms", "0"]))
                 .unwrap()
                 .read_timeout_ms,
             0
@@ -2094,24 +2014,27 @@ mod tests {
 
     #[test]
     fn serve_flag_errors() {
-        let err = parse_serve_flags(&args(&["--port", "80"])).unwrap_err();
+        let err = parse::<ahn_serve::ServerConfig>(&args(&["--port", "80"])).unwrap_err();
         assert!(err.contains("unknown serve flag"), "{err}");
-        let err = parse_serve_flags(&args(&["--addr"])).unwrap_err();
+        let err = parse::<ahn_serve::ServerConfig>(&args(&["--addr"])).unwrap_err();
         assert!(err.contains("--addr needs a value"), "{err}");
         for bad in [&["--workers", "-1"][..], &["--workers", "many"]] {
-            assert!(parse_serve_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(
+                parse::<ahn_serve::ServerConfig>(&args(bad)).is_err(),
+                "{bad:?}"
+            );
         }
-        assert!(parse_serve_flags(&args(&["--queue-cap", "0"])).is_err());
-        assert!(parse_serve_flags(&args(&["--cache-cap", "x"])).is_err());
-        assert!(parse_serve_flags(&args(&["--journal"])).is_err());
+        assert!(parse::<ahn_serve::ServerConfig>(&args(&["--queue-cap", "0"])).is_err());
+        assert!(parse::<ahn_serve::ServerConfig>(&args(&["--cache-cap", "x"])).is_err());
+        assert!(parse::<ahn_serve::ServerConfig>(&args(&["--journal"])).is_err());
     }
 
     #[test]
     fn worker_flags_parse() {
-        let f = parse_worker_flags(&args(&[])).unwrap();
+        let f = parse::<WorkerFlags>(&args(&[])).unwrap();
         assert_eq!(f.addr, "127.0.0.1:7878");
         assert_eq!(f.config.idle_exit_polls, 0);
-        let f = parse_worker_flags(&args(&[
+        let f = parse::<WorkerFlags>(&args(&[
             "--addr",
             "127.0.0.1:9",
             "--lease-ms",
@@ -2133,11 +2056,11 @@ mod tests {
 
     #[test]
     fn worker_resilience_flags_parse() {
-        let f = parse_worker_flags(&args(&[])).unwrap();
+        let f = parse::<WorkerFlags>(&args(&[])).unwrap();
         assert_eq!(f.config.backoff, ahn_serve::BackoffPolicy::default());
         assert_eq!((f.breaker_threshold, f.breaker_cooldown_ms), (8, 1_000));
         assert!(!f.chaos.is_active());
-        let f = parse_worker_flags(&args(&[
+        let f = parse::<WorkerFlags>(&args(&[
             "--retry-base-ms",
             "10",
             "--retry-cap-ms",
@@ -2197,7 +2120,7 @@ mod tests {
 
     #[test]
     fn worker_flag_errors() {
-        let err = parse_worker_flags(&args(&["--what"])).unwrap_err();
+        let err = parse::<WorkerFlags>(&args(&["--what"])).unwrap_err();
         assert!(err.contains("unknown worker flag"), "{err}");
         for bad in [
             &["--lease-ms", "0"][..],
@@ -2212,17 +2135,17 @@ mod tests {
             &["--chaos-stall-percent", "200"],
             &["--chaos-partial-percent"],
         ] {
-            assert!(parse_worker_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<WorkerFlags>(&args(bad)).is_err(), "{bad:?}");
         }
-        let err = parse_worker_flags(&args(&["--chaos-drop-request", "101"])).unwrap_err();
+        let err = parse::<WorkerFlags>(&args(&["--chaos-drop-request", "101"])).unwrap_err();
         assert!(err.contains("[0, 100]"), "{err}");
     }
 
     #[test]
     fn loadtest_flags_parse() {
-        let f = parse_loadtest_flags(&args(&[])).unwrap();
+        let f = parse::<LoadtestFlags>(&args(&[])).unwrap();
         assert!(!f.json && !f.shutdown && f.min_hit_rate.is_none());
-        let f = parse_loadtest_flags(&args(&[
+        let f = parse::<LoadtestFlags>(&args(&[
             "--addr",
             "127.0.0.1:1",
             "--connections",
@@ -2247,7 +2170,7 @@ mod tests {
 
     #[test]
     fn loadtest_flag_errors() {
-        let err = parse_loadtest_flags(&args(&["--what"])).unwrap_err();
+        let err = parse::<LoadtestFlags>(&args(&["--what"])).unwrap_err();
         assert!(err.contains("unknown loadtest flag"), "{err}");
         for bad in [
             &["--connections", "0"][..],
@@ -2257,22 +2180,22 @@ mod tests {
             &["--min-hit-rate", "1.5"],
             &["--min-hit-rate", "nan"],
         ] {
-            assert!(parse_loadtest_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<LoadtestFlags>(&args(bad)).is_err(), "{bad:?}");
         }
     }
 
     #[test]
     fn sweep_flags_parse() {
-        let f = parse_sweep_flags(&args(&[])).unwrap();
+        let f = parse::<SweepFlags>(&args(&[])).unwrap();
         assert_eq!(
             (f.cases, f.sizes, f.seed_blocks, f.json),
             (vec![1], vec![50], 1, false)
         );
         assert_eq!(f.payoffs, vec!["paper".to_string()]);
         assert_eq!(f.scenarios, None);
-        assert!(f.rest.is_empty());
+        assert_eq!(f.exp.config, ExperimentConfig::scaled());
 
-        let f = parse_sweep_flags(&args(&[
+        let f = parse::<SweepFlags>(&args(&[
             "--scenarios",
             "base,slanderers",
             "--cases",
@@ -2302,13 +2225,15 @@ mod tests {
         assert_eq!(f.sizes, vec![10, 50, 100]);
         assert_eq!(f.seed_blocks, 4);
         assert!(f.json);
-        assert_eq!(f.rest, args(&["--preset", "smoke", "--reps", "2"]));
-        // The shared flags parse through Options.
-        let o = Options::parse(&f.rest).unwrap();
-        assert_eq!(o.config.replications, 2);
+        // The shared experiment flags parse in the same pass.
+        assert_eq!(
+            f.exp.config.population,
+            ExperimentConfig::smoke().population
+        );
+        assert_eq!(f.exp.config.replications, 2);
 
         let f =
-            parse_sweep_flags(&args(&["--via", "127.0.0.1:7172", "--journal", "s.log"])).unwrap();
+            parse::<SweepFlags>(&args(&["--via", "127.0.0.1:7172", "--journal", "s.log"])).unwrap();
         assert_eq!(f.via.as_deref(), Some("127.0.0.1:7172"));
         assert_eq!(f.journal.as_deref(), Some("s.log"));
     }
@@ -2326,16 +2251,15 @@ mod tests {
             // A journal only makes sense for a distributed run.
             &["--journal", "s.log"],
         ] {
-            assert!(parse_sweep_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<SweepFlags>(&args(bad)).is_err(), "{bad:?}");
         }
-        // Unknown flags pass through to Options::parse, which rejects.
-        let f = parse_sweep_flags(&args(&["--frob", "x"])).unwrap();
-        assert!(Options::parse(&f.rest).is_err());
+        // Flags in neither the sweep nor the experiment table are rejected.
+        assert!(parse::<SweepFlags>(&args(&["--frob", "x"])).is_err());
     }
 
     #[test]
     fn calibrate_flags_parse() {
-        let f = parse_calibrate_flags(&args(&[])).unwrap();
+        let f = parse::<CalibrateFlags>(&args(&[])).unwrap();
         assert_eq!(f.cases, vec![1, 2, 3, 4]);
         assert_eq!(f.scales, vec![1.0]);
         assert_eq!(f.selections, vec!["paper".to_string()]);
@@ -2343,9 +2267,10 @@ mod tests {
             (f.size, f.seed_blocks, f.max_candidates, f.json),
             (10, 1, 0, false)
         );
-        assert!(f.rest.is_empty());
+        // The base configuration defaults to the smoke preset.
+        assert_eq!(f.exp.config, ExperimentConfig::smoke());
 
-        let f = parse_calibrate_flags(&args(&[
+        let f = parse::<CalibrateFlags>(&args(&[
             "--cases",
             "2,4",
             "--scales",
@@ -2377,11 +2302,13 @@ mod tests {
         );
         assert_eq!((f.size, f.seed_blocks, f.max_candidates), (50, 3, 24));
         assert!(f.json);
-        assert_eq!(f.rest, args(&["--preset", "scaled", "--reps", "4"]));
-        let o = Options::parse(&f.rest).unwrap();
-        assert_eq!(o.config.replications, 4);
+        assert_eq!(
+            f.exp.config.population,
+            ExperimentConfig::scaled().population
+        );
+        assert_eq!(f.exp.config.replications, 4);
 
-        let f = parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--journal", "c.log"]))
+        let f = parse::<CalibrateFlags>(&args(&["--via", "127.0.0.1:7172", "--journal", "c.log"]))
             .unwrap();
         assert_eq!(f.via.as_deref(), Some("127.0.0.1:7172"));
         assert_eq!(f.journal.as_deref(), Some("c.log"));
@@ -2405,25 +2332,24 @@ mod tests {
             // than after the (potentially long) local run.
             &["--trace", "t.log"],
         ] {
-            assert!(parse_calibrate_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<CalibrateFlags>(&args(bad)).is_err(), "{bad:?}");
         }
-        // Unknown flags pass through to Options::parse, which rejects.
-        let f = parse_calibrate_flags(&args(&["--frob", "x"])).unwrap();
-        assert!(Options::parse(&f.rest).is_err());
+        // Flags in neither the calibrate nor the experiment table are rejected.
+        assert!(parse::<CalibrateFlags>(&args(&["--frob", "x"])).is_err());
     }
 
     #[test]
     fn fidelity_flags_parse() {
-        let f = parse_fidelity_flags(&args(&[])).unwrap();
+        let f = parse::<FidelityFlags>(&args(&[])).unwrap();
         assert_eq!(f.cases, vec![1, 3]);
         assert_eq!(f.tolerance, 0.15);
-        let f = parse_fidelity_flags(&args(&[
+        let f = parse::<FidelityFlags>(&args(&[
             "--cases", "1,2,3,4", "--tol", "0.2", "--preset", "smoke",
         ]))
         .unwrap();
         assert_eq!(f.cases, vec![1, 2, 3, 4]);
         assert_eq!(f.tolerance, 0.2);
-        assert_eq!(f.rest, args(&["--preset", "smoke"]));
+        assert_eq!(f.exp.config, ExperimentConfig::smoke());
     }
 
     #[test]
@@ -2436,40 +2362,40 @@ mod tests {
             &["--tol", "x"],
             &["--tol"],
         ] {
-            assert!(parse_fidelity_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<FidelityFlags>(&args(bad)).is_err(), "{bad:?}");
         }
     }
 
     #[test]
     fn experiment_options_flag_errors() {
-        let err = Options::parse(&args(&["--bogus"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--bogus"])).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-        let err = Options::parse(&args(&["--reps"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--reps"])).unwrap_err();
         assert!(err.contains("--reps needs a value"), "{err}");
-        let err = Options::parse(&args(&["--reps", "zero"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--reps", "zero"])).unwrap_err();
         assert!(err.contains("--reps"), "{err}");
-        let err = Options::parse(&args(&["--preset", "galactic"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--preset", "galactic"])).unwrap_err();
         assert!(err.contains("unknown preset"), "{err}");
-        let err = Options::parse(&args(&["--config", "/no/such/file.json"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--config", "/no/such/file.json"])).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
         // Flag values that parse but violate config validation.
-        let err = Options::parse(&args(&["--reps", "0"])).unwrap_err();
+        let err = parse::<Options>(&args(&["--reps", "0"])).unwrap_err();
         assert!(err.contains("positive"), "{err}");
     }
 
     #[test]
     fn experiment_options_happy_path() {
         let o =
-            Options::parse(&args(&["--preset", "smoke", "--reps", "3", "--seed", "9"])).unwrap();
+            parse::<Options>(&args(&["--preset", "smoke", "--reps", "3", "--seed", "9"])).unwrap();
         assert_eq!(o.config.replications, 3);
         assert_eq!(o.config.base_seed, 9);
         assert!(o.out_dir.is_none());
         assert!(o.trace.is_none());
-        let o = Options::parse(&args(&["--out", "/tmp/x"])).unwrap();
+        let o = parse::<Options>(&args(&["--out", "/tmp/x"])).unwrap();
         assert_eq!(o.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
     }
 
-    /// A temp path for flags that open their file at parse time.
+    /// A per-process temp path, removed if a previous run left it.
     fn tmp(name: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push(format!("ahn-cli-test-{}-{name}", std::process::id()));
@@ -2479,29 +2405,29 @@ mod tests {
 
     #[test]
     fn trace_flags_parse_everywhere() {
-        // serve/worker/sweep/calibrate carry the path; Options opens it.
-        let c = parse_serve_flags(&args(&["--trace", "srv.trace"])).unwrap();
+        // Every command carries the path; parsing never opens it.
+        let c = parse::<ahn_serve::ServerConfig>(&args(&["--trace", "srv.trace"])).unwrap();
         assert_eq!(c.trace.as_deref(), Some("srv.trace"));
-        assert!(parse_serve_flags(&args(&["--trace"])).is_err());
+        assert!(parse::<ahn_serve::ServerConfig>(&args(&["--trace"])).is_err());
 
-        let f = parse_worker_flags(&args(&["--trace", "w.trace"])).unwrap();
+        let f = parse::<WorkerFlags>(&args(&["--trace", "w.trace"])).unwrap();
         assert_eq!(f.trace.as_deref(), Some("w.trace"));
-        assert!(parse_worker_flags(&args(&[])).unwrap().trace.is_none());
+        assert!(parse::<WorkerFlags>(&args(&[])).unwrap().trace.is_none());
 
-        let f = parse_sweep_flags(&args(&["--trace", "s.trace"])).unwrap();
-        assert_eq!(f.trace.as_deref(), Some("s.trace"));
+        let f = parse::<SweepFlags>(&args(&["--trace", "s.trace"])).unwrap();
+        assert_eq!(f.exp.trace.as_deref(), Some("s.trace"));
 
-        let f = parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", "c.trace"]))
+        let f = parse::<CalibrateFlags>(&args(&["--via", "127.0.0.1:7172", "--trace", "c.trace"]))
             .unwrap();
-        assert_eq!(f.trace.as_deref(), Some("c.trace"));
+        assert_eq!(f.exp.trace.as_deref(), Some("c.trace"));
         // A coordinator trace without a coordinator is a user error.
-        let err = parse_calibrate_flags(&args(&["--trace", "c.trace"])).unwrap_err();
+        let err = parse::<CalibrateFlags>(&args(&["--trace", "c.trace"])).unwrap_err();
         assert!(err.contains("requires --via"), "{err}");
 
         let path = tmp("options.trace");
-        let o = Options::parse(&args(&["--trace", &path])).unwrap();
+        let o = parse::<Options>(&args(&["--trace", &path])).unwrap();
         assert!(o.trace.is_some());
-        let _ = std::fs::remove_file(&path);
+        assert!(!Path::new(&path).exists(), "parsing opened the trace log");
     }
 
     #[test]
@@ -2517,10 +2443,10 @@ mod tests {
         assert!(!trace_join_requested(&args(&[])));
         assert!(!trace_join_requested(&args(&["--preset", "smoke"])));
 
-        let f = parse_trace_join_flags(&args(&["a.trace", "b.trace"])).unwrap();
+        let f = parse::<TraceJoinFlags>(&args(&["a.trace", "b.trace"])).unwrap();
         assert_eq!(f.require_complete, 0);
         assert_eq!(f.files, args(&["a.trace", "b.trace"]));
-        let f = parse_trace_join_flags(&args(&["--require-complete", "3", "a.trace"])).unwrap();
+        let f = parse::<TraceJoinFlags>(&args(&["--require-complete", "3", "a.trace"])).unwrap();
         assert_eq!(f.require_complete, 3);
 
         for bad in [
@@ -2529,7 +2455,7 @@ mod tests {
             &["--require-complete", "x", "a.trace"],
             &["--frob", "a.trace"],
         ] {
-            assert!(parse_trace_join_flags(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse::<TraceJoinFlags>(&args(bad)).is_err(), "{bad:?}");
         }
     }
 
@@ -2575,5 +2501,149 @@ mod tests {
         assert!(rendered.contains("cells=1 complete=1"), "{rendered}");
         let _ = std::fs::remove_file(&server);
         let _ = std::fs::remove_file(&worker);
+    }
+
+    #[test]
+    fn field_flags_override_the_base_in_any_order() {
+        let smoke = ExperimentConfig::smoke();
+        let fields = [
+            "--cases", "1", "--reps", "1", "--gens", "2", "--rounds", "20",
+        ];
+        let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/example.json");
+        let file: ExperimentConfig =
+            serde_json::from_str(&std::fs::read_to_string(config).unwrap()).unwrap();
+        for (base, population) in [
+            (["--preset", "smoke"], smoke.population),
+            (["--config", config], file.population),
+        ] {
+            let before = [&base[..], &fields].concat();
+            let after = [&fields[..], &base].concat();
+            for order in [before, after] {
+                let f = parse::<FidelityFlags>(&args(&order)).unwrap();
+                let c = &f.exp.config;
+                assert_eq!(
+                    (c.replications, c.generations, c.rounds, c.population),
+                    (1, 2, 20, population),
+                    "{order:?}"
+                );
+            }
+        }
+        // The last base wins; the field flags survive it either way.
+        let o = parse::<Options>(&args(&[
+            "--reps", "2", "--preset", "paper", "--preset", "smoke",
+        ]));
+        let o = o.unwrap();
+        assert_eq!((o.config.replications, o.config.rounds), (2, smoke.rounds));
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_flags_and_empty_scenario_names() {
+        for (specs, parse) in every_table() {
+            let err = parse(&args(&["--bogus"])).unwrap_err();
+            assert!(
+                err.contains("unknown") && err.contains("--bogus"),
+                "{specs:?}: {err}"
+            );
+        }
+        assert!(parse::<ScenarioList>(&args(&["--bogus"])).is_err());
+        assert!(parse::<ScenarioList>(&args(&["--json"])).unwrap().json);
+        for bad in ["", "base,,slanderers", ","] {
+            let err = parse::<AtlasFlags>(&args(&["--scenarios", bad])).unwrap_err();
+            assert!(err.contains("non-empty scenario names"), "{bad:?}: {err}");
+            assert!(parse::<SweepFlags>(&args(&["--scenarios", bad])).is_err());
+        }
+        let f = parse::<AtlasFlags>(&args(&["--scenarios", "base,slanderers"])).unwrap();
+        assert_eq!(f.grid.scenarios, args(&["base", "slanderers"]));
+    }
+
+    #[test]
+    fn help_lists_every_flag_of_every_command() {
+        let help = help();
+        for (specs, _) in every_table() {
+            for spec in specs {
+                let (usage, about) = spec.split_once(": ").expect("every flag has help");
+                assert!(
+                    help.contains(&format!("  {usage:<28} {about}\n")),
+                    "{usage:?} missing"
+                );
+            }
+        }
+        for command in COMMANDS {
+            assert!(
+                help.contains(&format!("ahn-exp {} ", command.name)),
+                "{}",
+                command.name
+            );
+        }
+        for (name, _, _) in PAPER {
+            assert!(help.contains(&format!("  {name} ")), "{name}");
+        }
+    }
+
+    /// A command's flag specs and its parser.
+    type Table = (Vec<&'static str>, fn(&[String]) -> Result<(), String>);
+
+    /// Every command's table (the experiment commands' first).
+    fn every_table() -> Vec<Table> {
+        fn of<C: Flags>() -> Table {
+            (C::TABLE.iter().map(|f| f.spec).collect(), |a| {
+                parse::<C>(a).map(drop)
+            })
+        }
+        let tables = vec![
+            of::<Options>(),
+            of::<SweepFlags>(),
+            of::<CalibrateFlags>(),
+            of::<FidelityFlags>(),
+            of::<ScenarioList>(),
+            of::<ScenarioRun>(),
+            of::<AtlasFlags>(),
+            of::<TraceJoinFlags>(),
+            of::<BenchFlags>(),
+            of::<ahn_serve::ServerConfig>(),
+            of::<WorkerFlags>(),
+            of::<LoadtestFlags>(),
+        ];
+        assert_eq!(
+            tables.len(),
+            COMMANDS.len() + 1,
+            "a command is missing here"
+        );
+        tables
+    }
+
+    /// Boundary fuzz over every command's table: random argv built from
+    /// every known flag, edge values and junk must parse to `Ok` or
+    /// `Err` — never panic — and must not create any file it names.
+    #[test]
+    fn random_argv_never_panics_and_creates_no_files() {
+        use rand::{Rng, SeedableRng};
+        let tables = every_table();
+        let junk = tmp("fuzz");
+        let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/example.json");
+        let mut tokens: Vec<String> = tables
+            .iter()
+            .flat_map(|(specs, _)| specs.iter())
+            .chain(Options::TABLE.iter().map(|f| &f.spec))
+            .map(|spec| spec.split([' ', ':']).next().unwrap().to_owned())
+            .collect();
+        tokens.extend(args(&[
+            "0", "-1", "", "1,,4", "NaN", "1", "3", "4", "1,4", "0.5", "101", "smoke", "x", "-",
+            "--", "base", "junk,", config,
+        ]));
+        let paths = [junk.clone(), format!("{junk}.trace"), format!("{junk}/dir")];
+        tokens.extend(paths.iter().cloned());
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF122);
+        for _ in 0..4_000 {
+            let argv: Vec<String> = (0..rng.gen_range(0..8))
+                .map(|_| tokens[rng.gen_range(0..tokens.len())].clone())
+                .collect();
+            for (_, parse) in &tables {
+                let _ = parse(&argv);
+            }
+        }
+        for path in &paths {
+            assert!(!Path::new(path).exists(), "parsing created {path}");
+        }
     }
 }

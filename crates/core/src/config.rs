@@ -12,6 +12,7 @@ use ahn_bitstr::BitStr;
 use ahn_ga::GaParams;
 use ahn_game::PayoffConfig;
 use ahn_net::{ActivityBands, GossipConfig, RouteSelection, TrustTable};
+use ahn_obs::checksum::fnv1a_64;
 use ahn_strategy::{reduced::ReducedStrategy, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -311,16 +312,6 @@ impl Default for ExperimentConfig {
 pub fn canonical_hash<T: ?Sized + serde::Serialize>(value: &T) -> Result<u64, String> {
     let json = serde_json::to_string(value).map_err(|e| format!("cannot canonicalize: {e}"))?;
     Ok(fnv1a_64(json.as_bytes()))
-}
-
-/// FNV-1a, 64-bit: the standard offset basis and prime.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! histograms, cross-node trace spans, and zero-cost hot-path
 //! profiling hooks.
 //!
-//! Three pieces, each usable alone:
+//! Four pieces, each usable alone:
 //!
 //! * [`hist`] — [`AtomicHistogram`], a lock-free log2-bucketed
 //!   histogram (64 relaxed `AtomicU64` buckets, zero allocation on the
@@ -14,6 +14,9 @@
 //!   cross-node lifecycle (submit → enqueue → lease → compute →
 //!   complete → merge) from any set of server/worker/coordinator log
 //!   files and flag orphaned spans.
+//! * [`checksum`] — the stable FNV-1a and SplitMix64 hashes and the
+//!   `<fnv1a-64 hex> <compact JSON>` checksummed line, shared by the
+//!   canonical config hash, the completion journal and the span log.
 //! * [`recorder`] — the [`Recorder`] trait the experiment hot loop is
 //!   generic over. The [`NoopRecorder`] default compiles to nothing
 //!   (the zero-cost-when-off invariant, pinned by `tests/zero_alloc.rs`
@@ -25,6 +28,7 @@
 
 #![deny(missing_docs)]
 
+pub mod checksum;
 pub mod hist;
 pub mod recorder;
 pub mod trace;

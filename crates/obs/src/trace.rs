@@ -41,6 +41,7 @@
 //! | `cell_start`/`cell_done` | local runs | one sweep cell's lifecycle |
 //! | `generation` | local runs | one hot-loop generation (coop + phase timings) |
 
+use crate::checksum::{decode_line, encode_line, splitmix64};
 use crate::recorder::GenSample;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -49,31 +50,12 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// SplitMix64 — the same mixer the fault harness uses, duplicated here
-/// so this crate stays dependency-free.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mints the trace id for a cell from its result-cache key. Pure and
 /// stable: every process that knows the key (server, resumed server,
 /// coordinator) derives the same id, and workers just echo the one in
 /// their grant. Never returns 0 (the "no cell context" sentinel).
 pub fn trace_id_of_key(key: u64) -> u64 {
     splitmix64(key ^ 0x0B5E_55AB_1E5E_ED07).max(1)
-}
-
-/// FNV-1a 64 over raw bytes — same family as the journal's checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// One trace record. Field meaning depends on `span` (see the module
@@ -182,22 +164,13 @@ impl TraceEvent {
 
 /// Encodes one event as its checksummed log line (terminator included).
 pub fn encode_event(event: &TraceEvent) -> String {
-    let payload = serde_json::to_string(event).expect("trace events always serialize");
-    format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
+    encode_line(event).expect("trace events always serialize")
 }
 
 /// Decodes one log line (without its terminator); `None` marks a torn
 /// or corrupted record.
 pub fn decode_event(line: &str) -> Option<TraceEvent> {
-    let (checksum_hex, payload) = line.split_once(' ')?;
-    if checksum_hex.len() != 16 {
-        return None;
-    }
-    let checksum = u64::from_str_radix(checksum_hex, 16).ok()?;
-    if checksum != fnv1a64(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
+    decode_line(line)
 }
 
 struct TraceLogInner {

@@ -1,7 +1,8 @@
 //! The append-only completion journal: the checkpoint/resume substrate
 //! shared by the on-disk job store and the distributed coordinator.
 //!
-//! One record per line, each line independently verifiable:
+//! One record per line, each line independently verifiable (the
+//! checksummed line of [`ahn_obs::checksum`]):
 //!
 //! ```text
 //! <fnv1a-64 hex checksum> <compact JSON {"key": u64, "result": string}>
@@ -34,40 +35,17 @@ pub struct Record {
     pub result: String,
 }
 
-/// FNV-1a 64 over raw bytes — the same hash family as
-/// `ahn_core::config::canonical_hash`, applied here to the encoded
-/// payload so the reader needs no serde round trip to verify a line.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// Encodes one record as its journal line (terminator included).
 pub fn encode_line(key: u64, result: &str) -> String {
-    let payload = serde_json::to_string(&Record {
-        key,
-        result: result.to_owned(),
-    })
-    .expect("a {u64, String} record always serializes");
-    format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
+    let result = result.to_owned();
+    ahn_obs::checksum::encode_line(&Record { key, result })
+        .expect("a {u64, String} record always serializes")
 }
 
 /// Decodes one journal line (without its terminator); `None` marks a
 /// torn or corrupted record.
 pub fn decode_line(line: &str) -> Option<Record> {
-    let (checksum_hex, payload) = line.split_once(' ')?;
-    if checksum_hex.len() != 16 {
-        return None;
-    }
-    let checksum = u64::from_str_radix(checksum_hex, 16).ok()?;
-    if checksum != fnv1a64(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
+    ahn_obs::checksum::decode_line(line)
 }
 
 /// What [`replay`] recovered from a journal file.
