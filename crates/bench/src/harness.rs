@@ -465,14 +465,14 @@ fn measure_distributed(grid: &ahn_core::sweeps::SweepGrid) -> Option<f64> {
                             max_consecutive_errors: 3,
                             ..ahn_serve::WorkerConfig::default()
                         };
-                        let _ = ahn_serve::run_worker(&mut transport, &config);
+                        let _ = ahn_serve::run_worker(&mut transport, &config, None);
                     })
                 })
                 .collect();
 
             let start = Instant::now();
             let mut transport = ahn_serve::HttpTransport::new(&addr);
-            let outcome = ahn_serve::run_sweep_via(&mut transport, grid, None, 1);
+            let outcome = ahn_serve::run_sweep_via(&mut transport, grid, None, 1, None);
             let seconds = start.elapsed().as_secs_f64();
             for worker in workers {
                 let _ = worker.join();

@@ -713,7 +713,7 @@ fn worker(flags: WorkerFlags) {
         flags.breaker_threshold,
         std::time::Duration::from_millis(flags.breaker_cooldown_ms),
     );
-    let run = ahn_serve::run_worker_observed(&mut transport, &flags.config, trace.as_ref());
+    let run = ahn_serve::run_worker(&mut transport, &flags.config, trace.as_ref());
     let (report, telemetry) = or_exit(run, 1);
     eprintln!(
         "worker: {} completed, {} failed, {} duplicates, {} dropped, {} empty polls, {} breaker trips",
@@ -844,8 +844,7 @@ fn sweep(flags: SweepFlags) {
         let trace = open_trace(opts.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = flags.journal.as_deref().map(Path::new);
-        let report =
-            ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref());
+        let report = ahn_serve::run_sweep_via(&mut transport, &grid, journal, 10, trace.as_ref());
         or_exit(report, 2)
     } else if let Some(log) = open_trace(opts.trace.as_deref(), "ahn-exp") {
         // The observed path: bit-identical report, but every cell
@@ -1213,13 +1212,8 @@ fn calibrate(flags: CalibrateFlags) {
         let trace = open_trace(opts.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = flags.journal.as_deref().map(Path::new);
-        let report = ahn_serve::run_calibration_via_traced(
-            &mut transport,
-            &grid,
-            journal,
-            10,
-            trace.as_ref(),
-        );
+        let report =
+            ahn_serve::run_calibration_via(&mut transport, &grid, journal, 10, trace.as_ref());
         or_exit(report, 2)
     } else {
         or_exit(ahn_core::run_calibration(&grid), 2)

@@ -24,13 +24,11 @@
 //! missing cells.
 
 use crate::journal::{replay, Journal};
-use crate::protocol::JobSpec;
+use crate::protocol::{grid_cells, GridCell};
 use crate::worker::Transport;
-use ahn_core::cases::CaseSpec;
-use ahn_core::config::ExperimentConfig;
 use ahn_core::{
     cell_from_result, merge_sweep, score_calibration, CalibrationGrid, CalibrationReport,
-    ExperimentResult, SweepCell, SweepCellSpec, SweepGrid, SweepReport,
+    ExperimentResult, SweepCell, SweepGrid, SweepReport,
 };
 use ahn_obs::{trace_id_of_key, TraceEvent, TraceLog};
 use std::collections::{HashMap, HashSet};
@@ -46,45 +44,11 @@ const MAX_POLL_ROUNDS: usize = 15_000;
 /// absorb before the coordinator gives up.
 const MAX_BACKPRESSURE_RETRIES: usize = 10_000;
 
-/// One grid cell, resolved far enough to submit and to rebuild its
-/// [`SweepCell`] from the wire result.
-struct CellTask {
-    sweep_index: usize,
-    cell_spec: SweepCellSpec,
-    config: ExperimentConfig,
-    case: CaseSpec,
-    spec: JobSpec,
-    key: u64,
-}
-
-/// Expands `grid` into submission-ready cell tasks tagged with
-/// `sweep_index` (which per-candidate sweep they belong to).
-fn cell_tasks(grid: &SweepGrid, sweep_index: usize) -> Result<Vec<CellTask>, String> {
-    let mut out = Vec::with_capacity(grid.cell_count());
-    for cell_spec in grid.cell_specs() {
-        let (config, case) = grid.resolve(&cell_spec)?;
-        let spec = JobSpec::Experiment {
-            config: config.clone(),
-            cases: vec![case.clone()],
-        };
-        let key = spec.cache_key()?;
-        out.push(CellTask {
-            sweep_index,
-            cell_spec,
-            config,
-            case,
-            spec,
-            key,
-        });
-    }
-    Ok(out)
-}
-
-/// Drives every task through the serve node: journal replay → submit
+/// Drives every cell through the serve node: journal replay → submit
 /// missing → poll → journal append. Returns result JSON by cache key.
 fn execute_cells(
     transport: &mut dyn Transport,
-    tasks: &[CellTask],
+    cells: &[&GridCell],
     journal_path: Option<&Path>,
     poll_ms: u64,
     trace: Option<&TraceLog>,
@@ -113,14 +77,14 @@ fn execute_cells(
 
     // Submit every cell not already checkpointed (distinct keys once —
     // calibration candidates can share cells).
-    let mut polling: Vec<(usize, u64)> = Vec::new(); // (task index, job id)
+    let mut polling: Vec<(&GridCell, u64)> = Vec::new(); // (cell, job id)
     let mut submitted: HashSet<u64> = HashSet::new();
-    for (index, task) in tasks.iter().enumerate() {
+    for &task in cells {
         if done.contains_key(&task.key) || !submitted.insert(task.key) {
             continue;
         }
         let body =
-            serde_json::to_string(&task.spec).map_err(|e| format!("cannot serialize cell: {e}"))?;
+            serde_json::to_string(&task.job).map_err(|e| format!("cannot serialize cell: {e}"))?;
         let trace_id = trace_id_of_key(task.key);
         let mut backpressure = 0usize;
         loop {
@@ -156,7 +120,7 @@ fn execute_cells(
                             .key(task.key)
                             .job(job_id),
                     );
-                    polling.push((index, job_id));
+                    polling.push((task, job_id));
                     break;
                 }
                 503 => {
@@ -173,8 +137,7 @@ fn execute_cells(
 
     // Poll submissions to completion in order; cells finish in any
     // order server-side, the order here only shapes wait time.
-    for (index, job_id) in polling {
-        let task = &tasks[index];
+    for (task, job_id) in polling {
         let mut rounds = 0usize;
         loop {
             let (status, response) = transport
@@ -246,26 +209,26 @@ fn checkpoint(
 
 /// Rebuilds the typed [`SweepCell`]s of one sweep from wire results.
 fn build_cells(
-    tasks: &[&CellTask],
+    cells: &[GridCell],
     results: &HashMap<u64, String>,
 ) -> Result<Vec<SweepCell>, String> {
-    tasks
+    cells
         .iter()
         .map(|task| {
             let json = results
                 .get(&task.key)
-                .ok_or_else(|| format!("cell {:?} has no result", task.cell_spec))?;
+                .ok_or_else(|| format!("cell {:?} has no result", task.cell))?;
             let mut parsed: Vec<ExperimentResult> =
                 serde_json::from_str(json).map_err(|e| format!("cannot parse cell result: {e}"))?;
             if parsed.len() != 1 {
                 return Err(format!(
                     "cell {:?} returned {} results, expected 1",
-                    task.cell_spec,
+                    task.cell,
                     parsed.len()
                 ));
             }
             Ok(cell_from_result(
-                task.cell_spec.clone(),
+                task.cell.clone(),
                 &task.config,
                 &task.case,
                 &parsed.remove(0),
@@ -277,51 +240,32 @@ fn build_cells(
 /// Runs `grid` through the serve node behind `transport` and merges the
 /// cells into a [`SweepReport`] bit-identical to
 /// [`ahn_core::run_sweep`]. `journal_path` enables checkpoint/resume.
+///
+/// When `trace` is set the coordinator emits a `submit` event per cell
+/// submission and a `merge` event per checkpoint, so the coordinator's
+/// view joins with the server's and the workers' via the shared
+/// key-derived trace id. The report stays bit-identical — tracing never
+/// touches the fold.
 pub fn run_sweep_via(
     transport: &mut dyn Transport,
     grid: &SweepGrid,
     journal_path: Option<&Path>,
     poll_ms: u64,
-) -> Result<SweepReport, String> {
-    run_sweep_via_traced(transport, grid, journal_path, poll_ms, None)
-}
-
-/// [`run_sweep_via`] with span tracing: when `trace` is set the
-/// coordinator emits a `submit` event per cell submission and a `merge`
-/// event per checkpoint, so the coordinator's view joins with the
-/// server's and the workers' via the shared key-derived trace id. The
-/// report stays bit-identical — tracing never touches the fold.
-pub fn run_sweep_via_traced(
-    transport: &mut dyn Transport,
-    grid: &SweepGrid,
-    journal_path: Option<&Path>,
-    poll_ms: u64,
     trace: Option<&TraceLog>,
 ) -> Result<SweepReport, String> {
     grid.validate()?;
-    let tasks = cell_tasks(grid, 0)?;
-    let results = execute_cells(transport, &tasks, journal_path, poll_ms, trace)?;
-    let refs: Vec<&CellTask> = tasks.iter().collect();
-    let cells = build_cells(&refs, &results)?;
-    merge_sweep(grid, &cells)
+    let cells = grid_cells(grid)?;
+    let refs: Vec<&GridCell> = cells.iter().collect();
+    let results = execute_cells(transport, &refs, journal_path, poll_ms, trace)?;
+    merge_sweep(grid, &build_cells(&cells, &results)?)
 }
 
 /// Runs `grid` through the serve node behind `transport` and scores the
 /// merged per-candidate sweeps into a [`CalibrationReport`] — Pareto
 /// front included — bit-identical to [`ahn_core::run_calibration`].
-/// `journal_path` enables checkpoint/resume.
+/// `journal_path` enables checkpoint/resume; `trace` works as in
+/// [`run_sweep_via`].
 pub fn run_calibration_via(
-    transport: &mut dyn Transport,
-    grid: &CalibrationGrid,
-    journal_path: Option<&Path>,
-    poll_ms: u64,
-) -> Result<CalibrationReport, String> {
-    run_calibration_via_traced(transport, grid, journal_path, poll_ms, None)
-}
-
-/// [`run_calibration_via`] with span tracing — same contract as
-/// [`run_sweep_via_traced`].
-pub fn run_calibration_via_traced(
     transport: &mut dyn Transport,
     grid: &CalibrationGrid,
     journal_path: Option<&Path>,
@@ -329,19 +273,17 @@ pub fn run_calibration_via_traced(
     trace: Option<&TraceLog>,
 ) -> Result<CalibrationReport, String> {
     grid.validate()?;
-    let mut sweep_grids = Vec::new();
-    let mut tasks = Vec::new();
-    for (index, candidate) in grid.candidates().into_iter().enumerate() {
+    let mut sweeps = Vec::new();
+    for candidate in grid.candidates() {
         let sweep = grid.sweep_for(&candidate)?;
-        tasks.extend(cell_tasks(&sweep, index)?);
-        sweep_grids.push(sweep);
+        let cells = grid_cells(&sweep)?;
+        sweeps.push((sweep, cells));
     }
-    let results = execute_cells(transport, &tasks, journal_path, poll_ms, trace)?;
-    let mut sweeps = Vec::with_capacity(sweep_grids.len());
-    for (index, sweep_grid) in sweep_grids.iter().enumerate() {
-        let refs: Vec<&CellTask> = tasks.iter().filter(|t| t.sweep_index == index).collect();
-        let cells = build_cells(&refs, &results)?;
-        sweeps.push(merge_sweep(sweep_grid, &cells)?);
+    let refs: Vec<&GridCell> = sweeps.iter().flat_map(|(_, cells)| cells).collect();
+    let results = execute_cells(transport, &refs, journal_path, poll_ms, trace)?;
+    let mut merged = Vec::with_capacity(sweeps.len());
+    for (sweep, cells) in &sweeps {
+        merged.push(merge_sweep(sweep, &build_cells(cells, &results)?)?);
     }
-    score_calibration(grid, &sweeps)
+    score_calibration(grid, &merged)
 }

@@ -106,12 +106,6 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Reads one HTTP/1.1 request with no deadlines (the pre-hardening
-/// behavior; test and client-side helper).
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<ReadOutcome> {
-    read_request_deadlined(reader, &Deadlines::default())
-}
-
 /// Reads one HTTP/1.1 request from `reader`, enforcing `deadlines`
 /// through `TcpStream::set_read_timeout` on the underlying socket.
 ///

@@ -1,17 +1,21 @@
-//! Job storage and execution: the [`JobStore`] trait, its in-memory and
-//! on-disk (journal-backed) backends, and the single place server-side
-//! compute happens.
+//! Job storage and execution: the one [`JobStore`] every consumer
+//! takes jobs from, and the single place server-side compute happens.
 //!
 //! Submissions that miss the result cache become [`QueuedJob`]s in a
-//! bounded FIFO; consumers drain it two ways:
+//! bounded FIFO. Every consumer holds a lease on the job it runs:
 //!
-//! * the internal worker pool blocks on [`JobStore::pop_blocking`];
-//! * external workers lease cells via [`JobStore::claim`] /
-//!   [`JobStore::complete_lease`] (the `/v1/work/*` endpoints). A claim
-//!   carries a deadline; when it passes without a completion the job is
-//!   requeued at the *front* of the queue by the next
-//!   [`JobStore::sweep_expired`] call, so a crashed worker can never
-//!   strand a cell.
+//! * in-process workers block in [`JobStore::claim_blocking`] on the
+//!   store's condvar. Their leases carry no deadline: the worker lives
+//!   in this process, so its lease can only end in a settlement;
+//! * pull workers lease cells via [`JobStore::claim`] (the
+//!   `/v1/work/*` endpoints). A claim carries a deadline; when it
+//!   passes without a completion the job is requeued at the *front* of
+//!   the queue by the next [`JobStore::sweep_expired`] call, so a
+//!   crashed worker can never strand a cell.
+//!
+//! Either way the lease is released with [`JobStore::complete_lease`]
+//! once the job is settled, so [`JobStore::outstanding`] counts every
+//! job a draining node must wait for.
 //!
 //! Lease expiry is swept lazily from request handlers — never from a
 //! background thread — so an idle serve node does exactly zero work.
@@ -21,13 +25,19 @@
 //! Backpressure is explicit: when the queue is full, [`JobStore::try_push`]
 //! fails and the server answers 503 instead of buffering unbounded work.
 //! Requeues of expired leases are exempt (the job was already admitted).
+//!
+//! With a journal ([`JobStore::open`]) every completion is appended as
+//! one checksummed line; on open the journal is replayed (torn trailing
+//! writes discarded) and the recovered records are handed back so the
+//! server can warm its result cache — a restarted node resumes without
+//! recomputing finished cells.
 
 use crate::journal::{Journal, Record};
 use crate::protocol::JobSpec;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Where a job is in its lifecycle.
@@ -64,10 +74,9 @@ pub struct QueuedJob {
     pub key: u64,
     /// The resolved (non-preset) spec to run.
     pub spec: JobSpec,
-    /// When the job entered the queue, so the consumer that dequeues it
-    /// (lease grant or local pop) can sample the `queue_wait_us`
-    /// histogram. Requeued leases keep the original enqueue time — the
-    /// cell really did wait that long.
+    /// When the job entered the queue, so the consumer that claims it
+    /// can sample the `queue_wait_us` histogram. Requeued leases keep
+    /// the original enqueue time — the cell really did wait that long.
     pub enqueued_at: Instant,
 }
 
@@ -75,68 +84,17 @@ pub struct QueuedJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
-/// A job handed to an external worker under a lease.
+/// A job handed to a worker under a lease.
 #[derive(Debug, Clone)]
 pub struct LeasedJob {
-    /// Store-assigned lease id; quote it back in the completion.
+    /// Store-assigned lease id; quote it back when settling.
     pub lease_id: u64,
     /// The leased job.
     pub job: QueuedJob,
 }
 
-/// Pluggable job storage: a bounded FIFO plus a lease table, with an
-/// optional durable completion journal (the on-disk backend).
-///
-/// Implementations must be safe to share across the accept loop, the
-/// worker pool and every connection thread.
-pub trait JobStore: Send + Sync {
-    /// Enqueues a job, failing when the queue is full or closed.
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull>;
-
-    /// Blocks until a job is available; returns `None` once the store
-    /// is closed and drained (worker shutdown signal).
-    fn pop_blocking(&self) -> Option<QueuedJob>;
-
-    /// Non-blocking pop under a lease: the job must be completed via
-    /// [`JobStore::complete_lease`] before `lease` elapses or it is
-    /// requeued by the next sweep. Returns `None` when the queue is
-    /// empty or closed.
-    fn claim(&self, lease: Duration) -> Option<LeasedJob>;
-
-    /// Settles a lease (the worker delivered a result for it). Returns
-    /// `false` when the lease is unknown — typically already expired
-    /// and requeued; the *result* may still be usable, only the lease
-    /// bookkeeping is gone.
-    fn complete_lease(&self, lease_id: u64) -> bool;
-
-    /// Requeues every expired lease (at the front of the queue) and
-    /// returns how many were requeued. Called lazily from request
-    /// handlers; cost is bounded by the number of outstanding leases.
-    fn sweep_expired(&self) -> usize;
-
-    /// Records a completed result durably (no-op for the in-memory
-    /// backend; the journal backend appends one checksummed line).
-    fn record_completion(&self, key: u64, result: &str);
-
-    /// Closes the store: pending jobs still drain, new pushes fail, and
-    /// blocked workers wake up to exit.
-    fn close(&self);
-
-    /// Jobs currently waiting (excludes leased jobs).
-    fn depth(&self) -> usize;
-
-    /// Leases currently outstanding.
-    fn leased(&self) -> usize;
-
-    /// Queued plus leased cells — the store-side work a draining node
-    /// must see settled (or give up on at its drain deadline) before it
-    /// can stop. Racy across two loads, which is fine: the drain loop
-    /// re-polls.
-    fn outstanding(&self) -> usize {
-        self.depth() + self.leased()
-    }
-}
-
+/// An expiring lease keeps a copy of its job to requeue. A local lease
+/// (`None` in the lease table) never expires, so it keeps nothing.
 struct Lease {
     deadline: Instant,
     job: QueuedJob,
@@ -144,23 +102,27 @@ struct Lease {
 
 struct StoreInner {
     jobs: VecDeque<QueuedJob>,
-    leases: HashMap<u64, Lease>,
+    leases: HashMap<u64, Option<Lease>>,
     next_lease_id: u64,
     open: bool,
 }
 
-/// The in-memory [`JobStore`]: a bounded multi-producer multi-consumer
-/// FIFO with blocking pop and a lease table for external workers.
-pub struct MemStore {
+/// The job store: a bounded multi-producer multi-consumer FIFO, a lease
+/// table covering every job a worker holds, and an optional durable
+/// completion journal. Safe to share across the accept loop, the
+/// in-process workers and every connection thread.
+pub struct JobStore {
     inner: Mutex<StoreInner>,
     ready: Condvar,
     capacity: usize,
+    journal: Option<Mutex<Journal>>,
 }
 
-impl MemStore {
-    /// Creates a store queueing at most `capacity` waiting jobs.
-    pub fn new(capacity: usize) -> MemStore {
-        MemStore {
+impl JobStore {
+    /// Creates an in-memory store queueing at most `capacity` waiting
+    /// jobs.
+    pub fn new(capacity: usize) -> JobStore {
+        JobStore {
             inner: Mutex::new(StoreInner {
                 jobs: VecDeque::with_capacity(capacity.min(1024)),
                 leases: HashMap::new(),
@@ -169,29 +131,28 @@ impl MemStore {
             }),
             ready: Condvar::new(),
             capacity,
+            journal: None,
         }
     }
 
-    /// Moves every expired lease back to the front of the queue.
-    /// Returns the requeue count; wakes a blocked worker per requeue.
-    fn sweep_locked(inner: &mut StoreInner, now: Instant) -> usize {
-        let expired: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, lease)| lease.deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &expired {
-            let lease = inner.leases.remove(id).expect("expired lease present");
-            inner.jobs.push_front(lease.job);
-        }
-        expired.len()
+    /// Opens a journal-backed store, replaying any existing journal at
+    /// `path`; returns the store and the completions recovered from it.
+    pub fn open(capacity: usize, path: &Path) -> std::io::Result<(JobStore, Vec<Record>)> {
+        let recovered = crate::journal::replay(path)?.records;
+        let store = JobStore {
+            journal: Some(Mutex::new(Journal::open(path)?)),
+            ..JobStore::new(capacity)
+        };
+        Ok((store, recovered))
     }
-}
 
-impl JobStore for MemStore {
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
-        let mut inner = self.inner.lock().expect("store lock");
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("store lock")
+    }
+
+    /// Enqueues a job, failing when the queue is full or closed.
+    pub fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
+        let mut inner = self.lock();
         if !inner.open || inner.jobs.len() >= self.capacity {
             return Err(QueueFull);
         }
@@ -201,11 +162,37 @@ impl JobStore for MemStore {
         Ok(())
     }
 
-    fn pop_blocking(&self) -> Option<QueuedJob> {
-        let mut inner = self.inner.lock().expect("store lock");
+    /// Leases the front of the queue until `deadline` (`None`: a local
+    /// lease that never expires).
+    fn lease_front(inner: &mut StoreInner, deadline: Option<Instant>) -> Option<LeasedJob> {
+        let job = inner.jobs.pop_front()?;
+        let lease_id = inner.next_lease_id;
+        inner.next_lease_id += 1;
+        let lease = deadline.map(|deadline| Lease {
+            deadline,
+            job: job.clone(),
+        });
+        inner.leases.insert(lease_id, lease);
+        Some(LeasedJob { lease_id, job })
+    }
+
+    /// Non-blocking claim for a pull worker: the job must be settled
+    /// via [`JobStore::complete_lease`] before `lease` elapses or it is
+    /// requeued by the next sweep. Returns `None` when the queue is
+    /// empty.
+    pub fn claim(&self, lease: Duration) -> Option<LeasedJob> {
+        Self::lease_front(&mut self.lock(), Some(Instant::now() + lease))
+    }
+
+    /// Blocking claim for an in-process worker: waits on the store's
+    /// condvar until a job is available and leases it with no deadline.
+    /// Returns `None` once the store is closed and drained (worker
+    /// shutdown signal).
+    pub fn claim_blocking(&self) -> Option<LeasedJob> {
+        let mut inner = self.lock();
         loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
+            if let Some(leased) = Self::lease_front(&mut inner, None) {
+                return Some(leased);
             }
             if !inner.open {
                 return None;
@@ -214,124 +201,73 @@ impl JobStore for MemStore {
         }
     }
 
-    fn claim(&self, lease: Duration) -> Option<LeasedJob> {
-        let mut inner = self.inner.lock().expect("store lock");
-        let job = inner.jobs.pop_front()?;
-        let lease_id = inner.next_lease_id;
-        inner.next_lease_id += 1;
-        inner.leases.insert(
-            lease_id,
-            Lease {
-                deadline: Instant::now() + lease,
-                job: job.clone(),
-            },
-        );
-        Some(LeasedJob { lease_id, job })
+    /// Releases a lease (its job was settled). Returns `false` when the
+    /// lease is unknown — typically already expired and requeued; the
+    /// *result* may still be usable, only the lease bookkeeping is gone.
+    pub fn complete_lease(&self, lease_id: u64) -> bool {
+        self.lock().leases.remove(&lease_id).is_some()
     }
 
-    fn complete_lease(&self, lease_id: u64) -> bool {
-        let mut inner = self.inner.lock().expect("store lock");
-        inner.leases.remove(&lease_id).is_some()
-    }
-
-    fn sweep_expired(&self) -> usize {
-        let mut inner = self.inner.lock().expect("store lock");
-        let requeued = Self::sweep_locked(&mut inner, Instant::now());
+    /// Requeues every expired lease (at the front of the queue) and
+    /// returns how many were requeued, waking a blocked worker per
+    /// requeue. Called lazily from request handlers; cost is bounded by
+    /// the number of outstanding leases.
+    pub fn sweep_expired(&self) -> usize {
+        let mut inner = self.lock();
+        let now = Instant::now();
+        let expired: Vec<u64> = inner
+            .leases
+            .iter()
+            .filter(|(_, lease)| lease.as_ref().is_some_and(|l| l.deadline <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &expired {
+            if let Some(Some(lease)) = inner.leases.remove(id) {
+                inner.jobs.push_front(lease.job);
+            }
+        }
         drop(inner);
-        for _ in 0..requeued {
+        for _ in &expired {
             self.ready.notify_one();
         }
-        requeued
+        expired.len()
     }
 
-    fn record_completion(&self, _key: u64, _result: &str) {}
-
-    fn close(&self) {
-        self.inner.lock().expect("store lock").open = false;
-        self.ready.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.inner.lock().expect("store lock").jobs.len()
-    }
-
-    fn leased(&self) -> usize {
-        self.inner.lock().expect("store lock").leases.len()
-    }
-}
-
-/// The on-disk [`JobStore`]: [`MemStore`] semantics plus an append-only
-/// completion journal. Every completion is recorded as one checksummed
-/// line; on open the journal is replayed (torn trailing writes
-/// discarded) and the recovered records are exposed via
-/// [`JournalStore::recovered`] so the server can warm its result cache
-/// — a restarted node resumes without recomputing finished cells.
-pub struct JournalStore {
-    mem: MemStore,
-    journal: Mutex<Journal>,
-    recovered: Vec<Record>,
-}
-
-impl JournalStore {
-    /// Opens the store, replaying any existing journal at `path`.
-    pub fn open(capacity: usize, path: &Path) -> std::io::Result<JournalStore> {
-        let recovered = crate::journal::replay(path)?.records;
-        Ok(JournalStore {
-            mem: MemStore::new(capacity),
-            journal: Mutex::new(Journal::open(path)?),
-            recovered,
-        })
-    }
-
-    /// Completions recovered from the journal when the store opened.
-    pub fn recovered(&self) -> &[Record] {
-        &self.recovered
-    }
-}
-
-impl JobStore for JournalStore {
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
-        self.mem.try_push(job)
-    }
-
-    fn pop_blocking(&self) -> Option<QueuedJob> {
-        self.mem.pop_blocking()
-    }
-
-    fn claim(&self, lease: Duration) -> Option<LeasedJob> {
-        self.mem.claim(lease)
-    }
-
-    fn complete_lease(&self, lease_id: u64) -> bool {
-        self.mem.complete_lease(lease_id)
-    }
-
-    fn sweep_expired(&self) -> usize {
-        self.mem.sweep_expired()
-    }
-
-    fn record_completion(&self, key: u64, result: &str) {
+    /// Records a completed result durably: one flushed, checksummed
+    /// journal line, or nothing for an in-memory store.
+    pub fn record_completion(&self, key: u64, result: &str) {
         // A full disk must not take the serving path down: the journal
         // is an optimization (resume without recompute), not a
         // correctness requirement, so append errors degrade to
         // in-memory behavior.
-        let _ = self
-            .journal
-            .lock()
-            .expect("journal lock")
-            .append(key, result);
+        if let Some(journal) = &self.journal {
+            let _ = journal.lock().expect("journal lock").append(key, result);
+        }
     }
 
-    fn close(&self) {
-        self.mem.close();
+    /// Closes the store: pending jobs still drain, new pushes fail, and
+    /// blocked workers wake up to exit.
+    pub fn close(&self) {
+        self.lock().open = false;
+        self.ready.notify_all();
     }
 
-    fn depth(&self) -> usize {
-        self.mem.depth()
+    /// Jobs currently waiting (excludes leased jobs).
+    pub fn depth(&self) -> usize {
+        self.lock().jobs.len()
     }
 
-    fn leased(&self) -> usize {
-        self.mem.leased()
+    /// Leases currently outstanding, local and external.
+    pub fn leased(&self) -> usize {
+        self.lock().leases.len()
+    }
+
+    /// Queued plus leased jobs — the work a draining node must see
+    /// settled (or give up on at its drain deadline) before it can
+    /// stop.
+    pub fn outstanding(&self) -> usize {
+        let inner = self.lock();
+        inner.jobs.len() + inner.leases.len()
     }
 }
 
@@ -392,39 +328,39 @@ mod tests {
 
     #[test]
     fn push_pop_fifo() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.try_push(job(2)).unwrap();
         assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop_blocking().unwrap().id, 1);
-        assert_eq!(q.pop_blocking().unwrap().id, 2);
+        assert_eq!(q.claim_blocking().unwrap().job.id, 1);
+        assert_eq!(q.claim_blocking().unwrap().job.id, 2);
         assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn full_queue_rejects() {
-        let q = MemStore::new(1);
+        let q = JobStore::new(1);
         q.try_push(job(1)).unwrap();
         assert_eq!(q.try_push(job(2)), Err(QueueFull));
-        let _ = q.pop_blocking();
+        let _ = q.claim_blocking();
         q.try_push(job(3)).unwrap();
     }
 
     #[test]
     fn close_drains_then_stops() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.close();
         assert_eq!(q.try_push(job(2)), Err(QueueFull));
-        assert_eq!(q.pop_blocking().unwrap().id, 1);
-        assert!(q.pop_blocking().is_none());
+        assert_eq!(q.claim_blocking().unwrap().job.id, 1);
+        assert!(q.claim_blocking().is_none());
     }
 
     #[test]
     fn close_wakes_blocked_workers() {
-        let q = Arc::new(MemStore::new(1));
+        let q = Arc::new(JobStore::new(1));
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop_blocking());
+        let waiter = std::thread::spawn(move || q2.claim_blocking());
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert!(waiter.join().unwrap().is_none());
@@ -432,7 +368,7 @@ mod tests {
 
     #[test]
     fn claim_then_complete_settles_the_lease() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         let leased = q.claim(Duration::from_secs(60)).unwrap();
         assert_eq!(leased.job.id, 1);
@@ -450,7 +386,7 @@ mod tests {
 
     #[test]
     fn expired_lease_requeues_at_the_front() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.try_push(job(2)).unwrap();
         let leased = q.claim(Duration::from_millis(0)).unwrap();
@@ -465,7 +401,7 @@ mod tests {
 
     #[test]
     fn unexpired_leases_survive_the_sweep() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         let leased = q.claim(Duration::from_secs(60)).unwrap();
         assert_eq!(q.sweep_expired(), 0);
@@ -475,14 +411,33 @@ mod tests {
 
     #[test]
     fn expired_requeue_wakes_a_blocked_worker() {
-        let q = Arc::new(MemStore::new(4));
+        let q = Arc::new(JobStore::new(4));
         q.try_push(job(7)).unwrap();
         let _leased = q.claim(Duration::from_millis(0)).unwrap();
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop_blocking());
+        let waiter = std::thread::spawn(move || q2.claim_blocking());
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.sweep_expired(), 1);
-        assert_eq!(waiter.join().unwrap().unwrap().id, 7);
+        assert_eq!(waiter.join().unwrap().unwrap().job.id, 7);
+    }
+
+    #[test]
+    fn local_leases_never_expire_and_count_as_outstanding() {
+        let q = JobStore::new(4);
+        q.try_push(job(1)).unwrap();
+        q.try_push(job(2)).unwrap();
+        let local = q.claim_blocking().unwrap();
+        let external = q.claim(Duration::from_millis(0)).unwrap();
+        assert_eq!((q.depth(), q.leased(), q.outstanding()), (0, 2, 2));
+        // Only the external lease has a deadline to miss.
+        assert_eq!(q.sweep_expired(), 1);
+        assert_eq!(
+            q.claim(Duration::from_secs(60)).unwrap().job.id,
+            external.job.id
+        );
+        assert!(q.complete_lease(local.lease_id));
+        assert!(!q.complete_lease(external.lease_id));
+        assert_eq!((q.depth(), q.outstanding()), (0, 1));
     }
 
     #[test]
@@ -491,22 +446,21 @@ mod tests {
         path.push(format!("ahn-jobstore-test-{}.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let store = JournalStore::open(4, &path).unwrap();
-        assert!(store.recovered().is_empty());
+        let (store, recovered) = JobStore::open(4, &path).unwrap();
+        assert!(recovered.is_empty());
         store.record_completion(11, "\"one\"");
         store.record_completion(22, "\"two\"");
         store.record_completion(11, "\"one-retry\"");
         drop(store);
 
-        let store = JournalStore::open(4, &path).unwrap();
-        let recovered: Vec<(u64, &str)> = store
-            .recovered()
+        let (store, recovered) = JobStore::open(4, &path).unwrap();
+        let recovered: Vec<(u64, &str)> = recovered
             .iter()
             .map(|r| (r.key, r.result.as_str()))
             .collect();
         // First completion wins; append order preserved.
         assert_eq!(recovered, vec![(11, "\"one\""), (22, "\"two\"")]);
-        // Queue/lease semantics are untouched MemStore behavior.
+        // Queue/lease semantics are the in-memory store's.
         store.try_push(job(1)).unwrap();
         let leased = store.claim(Duration::from_secs(60)).unwrap();
         assert!(store.complete_lease(leased.lease_id));

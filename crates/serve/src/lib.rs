@@ -7,18 +7,19 @@
 //! that with a dependency-free HTTP/1.1 job server on
 //! `std::net::TcpListener`:
 //!
-//! * [`server`] — routing, a bounded worker pool for experiment jobs,
+//! * [`server`] — routing, in-process workers for experiment jobs,
 //!   graceful shutdown; submissions that miss the cache return `202` +
 //!   a job id to poll, identical in-flight submissions coalesce onto
 //!   one job, and a full queue answers `503` instead of buffering
-//!   unbounded work;
+//!   unbounded work. In-process and pull workers take jobs from one
+//!   queue as lease holders and settle them through one path;
 //! * [`cache`] — an LRU result cache keyed by
 //!   [`ahn_core::config::canonical_hash`] of the resolved job spec;
 //! * [`protocol`] — the JSON wire types ([`protocol::JobSpec`],
 //!   acks, presets);
-//! * [`jobs`] — the [`jobs::JobStore`] trait (in-memory and journal
-//!   backends), job lifecycle, work leases and the single place compute
-//!   happens;
+//! * [`jobs`] — the [`jobs::JobStore`] (a bounded queue, the lease
+//!   table of every claimed job and an optional completion journal),
+//!   job lifecycle and the single place compute happens;
 //! * [`journal`] — the checksummed append-only completion journal
 //!   behind checkpoint/resume;
 //! * [`worker`] — the pull worker driving `POST /v1/work/claim` /
@@ -83,9 +84,7 @@ pub mod resilience;
 pub mod server;
 pub mod worker;
 
-pub use coordinator::{
-    run_calibration_via, run_calibration_via_traced, run_sweep_via, run_sweep_via_traced,
-};
+pub use coordinator::{run_calibration_via, run_sweep_via};
 pub use faults::{FaultPlan, FlakyTransport};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use metrics::{LatencySnapshot, Snapshot};
@@ -93,6 +92,6 @@ pub use protocol::JobSpec;
 pub use resilience::{Backoff, BackoffPolicy, CircuitBreaker};
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use worker::{
-    run_worker, run_worker_observed, HttpTransport, Transport, WorkerConfig, WorkerReport,
-    WorkerSummary, WorkerTelemetry,
+    run_worker, HttpTransport, Transport, WorkerConfig, WorkerReport, WorkerSummary,
+    WorkerTelemetry,
 };

@@ -13,6 +13,7 @@
 //! client never has to author a config by hand to get started.
 
 use ahn_core::{canonical_hash, cases::CaseSpec, config::ExperimentConfig};
+use ahn_core::{SweepCellSpec, SweepGrid};
 use ahn_ipdrp::IpdrpConfig;
 use serde::{Deserialize, Serialize};
 
@@ -137,6 +138,47 @@ impl JobSpec {
             JobSpec::Preset { .. } => 0,
         }
     }
+}
+
+/// One sweep cell resolved to the single-case experiment job that
+/// computes it.
+pub(crate) struct GridCell {
+    /// The cell's grid coordinates.
+    pub cell: SweepCellSpec,
+    /// The cell's resolved configuration.
+    pub config: ExperimentConfig,
+    /// The cell's resolved case.
+    pub case: CaseSpec,
+    /// The job: byte-identical to the equivalent direct
+    /// `POST /v1/experiments` body, so grid cells share the result
+    /// cache with direct submissions and with every other grid.
+    pub job: JobSpec,
+    /// `job.cache_key()`.
+    pub key: u64,
+}
+
+/// Expands `grid` into one job per cell, in grid order — the expansion
+/// behind the server's `/v1/sweeps` and `/v1/calibrations` routes and
+/// the distributed coordinator alike.
+pub(crate) fn grid_cells(grid: &SweepGrid) -> Result<Vec<GridCell>, String> {
+    grid.cell_specs()
+        .into_iter()
+        .map(|cell| {
+            let (config, case) = grid.resolve(&cell)?;
+            let job = JobSpec::Experiment {
+                config: config.clone(),
+                cases: vec![case.clone()],
+            };
+            let key = job.cache_key()?;
+            Ok(GridCell {
+                cell,
+                config,
+                case,
+                job,
+                key,
+            })
+        })
+        .collect()
 }
 
 /// A queued/finished job as reported by `GET /v1/jobs/{id}`.

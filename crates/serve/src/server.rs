@@ -34,8 +34,13 @@
 //! ```
 //!
 //! Connections get one OS thread each (keep-alive, so a load generator
-//! with N connections costs N threads); experiment compute runs on the
-//! bounded worker pool of [`crate::jobs`], never on connection threads.
+//! with N connections costs N threads); experiment compute never runs
+//! on connection threads. Local and pull workers take jobs from the one
+//! [`JobStore`] queue, both as lease holders: in-process workers block
+//! in [`JobStore::claim_blocking`], pull workers lease through
+//! `/v1/work/claim`. Both kinds of lease are granted by one pending
+//! check and settled by one `settle` (first completion wins), so a job
+//! finishes the same way whoever ran it.
 //! Every connection read runs under the [`crate::http::Deadlines`] of
 //! the config — a slowloris client is evicted with 408, an idle
 //! keep-alive connection is closed silently, and neither can pin its
@@ -43,11 +48,11 @@
 
 use crate::cache::LruCache;
 use crate::http::{read_request_deadlined, write_response, Deadlines, ReadOutcome, Request};
-use crate::jobs::{run_job, JobStatus, JobStore, JournalStore, MemStore, QueuedJob};
+use crate::jobs::{run_job, JobStatus, JobStore, LeasedJob, QueuedJob};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    presets, ClaimRequest, JobSpec, SubmitAck, WorkCompletion, WorkGrant, DEFAULT_LEASE_MS,
-    MAX_LEASE_MS,
+    grid_cells, presets, ClaimRequest, GridCell, JobSpec, SubmitAck, WorkCompletion, WorkGrant,
+    DEFAULT_LEASE_MS, MAX_LEASE_MS,
 };
 use ahn_obs::{trace_id_of_key, TraceEvent, TraceLog};
 use std::collections::{HashMap, VecDeque};
@@ -69,19 +74,19 @@ pub const MAX_SWEEP_CELLS: usize = 1024;
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7172` (port 0 for ephemeral).
     pub addr: String,
-    /// Worker threads executing experiment jobs. `0` is legal and means
-    /// pull-only: every job waits for an external worker to claim it
-    /// via `POST /v1/work/claim`.
+    /// In-process worker threads executing experiment jobs. `0` is
+    /// legal and means pull-only: every job waits for an external worker
+    /// to claim it via `POST /v1/work/claim`.
     pub workers: usize,
     /// Result-cache capacity (finished results, LRU-evicted).
     pub cache_cap: usize,
     /// Waiting-job capacity; a full queue answers 503.
     pub queue_cap: usize,
     /// Path of the on-disk completion journal. `None` keeps everything
-    /// in memory; `Some(path)` switches to the [`JournalStore`] backend:
-    /// every completion is appended durably and replayed into the
-    /// result cache on the next boot, so a restarted node resumes
-    /// without recomputing finished cells.
+    /// in memory; `Some(path)` gives the [`JobStore`] a journal: every
+    /// completion is appended durably and replayed into the result
+    /// cache on the next boot, so a restarted node resumes without
+    /// recomputing finished cells.
     pub journal: Option<String>,
     /// Total budget for reading one request (headers + body) once its
     /// request line arrived, milliseconds; a client that drips bytes
@@ -152,17 +157,13 @@ struct Shared {
     local_addr: SocketAddr,
     metrics: Metrics,
     state: Mutex<State>,
-    store: Arc<dyn JobStore>,
+    store: JobStore,
     next_job_id: AtomicU64,
     running: AtomicBool,
     /// Set the moment a shutdown is requested: readiness flips to 503,
     /// submissions bounce, claims answer empty. `running` only follows
     /// once the drain budget is spent or the work is settled.
     draining: AtomicBool,
-    /// In-process worker threads currently inside `run_job` — the
-    /// third kind of outstanding work (besides queued and leased) a
-    /// drain must wait on.
-    busy_jobs: AtomicU64,
     /// Structured trace log, when `--trace` is configured.
     trace: Option<TraceLog>,
     /// lease id → grant time, for the `claim_rtt_us` histogram (grant →
@@ -172,6 +173,54 @@ struct Shared {
 }
 
 impl Shared {
+    /// Opens the store (replaying its journal into the result cache)
+    /// and the trace log.
+    fn new(config: ServerConfig, local_addr: SocketAddr) -> std::io::Result<Shared> {
+        let mut cache = LruCache::new(config.cache_cap);
+        let store = match &config.journal {
+            None => JobStore::new(config.queue_cap),
+            Some(path) => {
+                let (store, recovered) =
+                    JobStore::open(config.queue_cap, std::path::Path::new(path))?;
+                // Checkpoint/resume: completions recorded by the previous
+                // incarnation become cache hits, so resubmitted cells are
+                // answered without recomputation.
+                for record in recovered {
+                    cache.put(record.key, Arc::from(record.result));
+                }
+                store
+            }
+        };
+        // The trace node name carries the bound address so logs from
+        // several serve incarnations (e.g. before/after a chaos restart)
+        // stay distinguishable after joining.
+        let trace = match &config.trace {
+            None => None,
+            Some(path) => Some(TraceLog::open(
+                std::path::Path::new(path),
+                &format!("serve:{local_addr}"),
+            )?),
+        };
+        Ok(Shared {
+            store,
+            state: Mutex::new(State {
+                cache,
+                jobs: HashMap::new(),
+                inflight: HashMap::new(),
+                finished: VecDeque::new(),
+                retain_finished: (4 * config.cache_cap).max(256),
+            }),
+            config,
+            local_addr,
+            metrics: Metrics::default(),
+            next_job_id: AtomicU64::new(1),
+            running: AtomicBool::new(true),
+            draining: AtomicBool::new(false),
+            trace,
+            lease_starts: Mutex::new(HashMap::new()),
+        })
+    }
+
     /// Appends a span event to the trace log, if one is configured.
     /// Never called under the state lock (trace emission does file
     /// I/O).
@@ -179,6 +228,12 @@ impl Shared {
         if let Some(trace) = &self.trace {
             trace.emit(event);
         }
+    }
+
+    /// The lazy lease sweep: requeues expired leases and counts them.
+    fn sweep_leases(&self) {
+        let requeued = self.store.sweep_expired();
+        Metrics::add(&self.metrics.lease_requeues, requeued as u64);
     }
 }
 
@@ -196,9 +251,9 @@ impl ServerHandle {
     }
 
     /// Requests a graceful drain-then-stop and waits for workers and
-    /// the accept loop to exit. Outstanding work (queued, leased,
-    /// in-flight) gets up to `drain_ms` to settle; readiness answers
-    /// 503 and new work is refused throughout.
+    /// the accept loop to exit. Outstanding work (queued or leased,
+    /// locally or externally) gets up to `drain_ms` to settle;
+    /// readiness answers 503 and new work is refused throughout.
     pub fn shutdown(self) {
         initiate_shutdown(&self.shared);
         self.join();
@@ -211,8 +266,8 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener, starts the worker pool and the accept loop, and
-/// returns immediately.
+/// Binds the listener, starts the in-process workers and the accept
+/// loop, and returns immediately.
 pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
@@ -220,52 +275,9 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // fans out through the rayon shim, so the effective per-experiment
     // thread count is a real capacity parameter.
     ahn_core::threads::log_once("serve");
-    let workers = config.workers;
-    let mut cache = LruCache::new(config.cache_cap);
-    let store: Arc<dyn JobStore> = match &config.journal {
-        None => Arc::new(MemStore::new(config.queue_cap)),
-        Some(path) => {
-            let journal = JournalStore::open(config.queue_cap, std::path::Path::new(path))?;
-            // Checkpoint/resume: completions recorded by the previous
-            // incarnation become cache hits, so resubmitted cells are
-            // answered without recomputation.
-            for record in journal.recovered() {
-                cache.put(record.key, Arc::from(record.result.as_str()));
-            }
-            Arc::new(journal)
-        }
-    };
-    // The trace node name carries the bound address so logs from several
-    // serve incarnations (e.g. before/after a chaos restart) stay
-    // distinguishable after joining.
-    let trace = match &config.trace {
-        None => None,
-        Some(path) => Some(TraceLog::open(
-            std::path::Path::new(path),
-            &format!("serve:{local_addr}"),
-        )?),
-    };
-    let shared = Arc::new(Shared {
-        store,
-        state: Mutex::new(State {
-            cache,
-            jobs: HashMap::new(),
-            inflight: HashMap::new(),
-            finished: VecDeque::new(),
-            retain_finished: (4 * config.cache_cap).max(256),
-        }),
-        config,
-        local_addr,
-        metrics: Metrics::default(),
-        next_job_id: AtomicU64::new(1),
-        running: AtomicBool::new(true),
-        draining: AtomicBool::new(false),
-        busy_jobs: AtomicU64::new(0),
-        trace,
-        lease_starts: Mutex::new(HashMap::new()),
-    });
+    let shared = Arc::new(Shared::new(config, local_addr)?);
 
-    let worker_handles: Vec<JoinHandle<()>> = (0..workers)
+    let worker_handles: Vec<JoinHandle<()>> = (0..shared.config.workers)
         .map(|i| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -307,10 +319,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 
 /// Graceful drain, then stop. The first caller flips `draining` (so
 /// readiness answers 503, submissions bounce and claims answer empty),
-/// waits up to `drain_ms` for outstanding work — queued cells, leased
-/// cells, jobs inside in-process workers — to settle (completions keep
-/// being accepted and journaled throughout), then stops the accept
-/// loop, poking it with a throwaway connection so it observes the flag.
+/// waits up to `drain_ms` for outstanding work — queued cells and cells
+/// leased to local or pull workers — to settle (completions keep being
+/// accepted and journaled throughout), then stops the accept loop,
+/// poking it with a throwaway connection so it observes the flag.
 /// Leases still outstanding at the deadline are abandoned safely: their
 /// cells were journaled if finished, and requeue on resubmission
 /// otherwise.
@@ -324,10 +336,8 @@ fn initiate_shutdown(shared: &Shared) {
         // The lazy lease sweep keeps running during the drain so a cell
         // abandoned by a crashed worker still requeues (and can be
         // picked up by in-process workers) instead of pinning the wait.
-        let requeued = shared.store.sweep_expired();
-        Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-        let outstanding =
-            shared.store.outstanding() + shared.busy_jobs.load(Ordering::SeqCst) as usize;
+        shared.sweep_leases();
+        let outstanding = shared.store.outstanding();
         Metrics::set(
             &shared.metrics.drain_nanos,
             started.elapsed().as_nanos() as u64,
@@ -365,12 +375,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(ReadOutcome::Request(req)) => {
                 Metrics::bump(&shared.metrics.http_requests);
                 let started = Instant::now();
-                let (status, body, shutdown) = route(shared, &req);
+                let (status, body) = route(shared, &req).unwrap_or_else(|reply| reply);
                 shared
                     .metrics
                     .request_histogram(&req.path)
                     .record(started.elapsed().as_micros() as u64);
                 let write_ok = write_response(&mut stream, status, &body, req.close).is_ok();
+                let shutdown = req.method == "POST" && req.path == "/v1/shutdown";
                 if shutdown {
                     initiate_shutdown(shared);
                 }
@@ -395,70 +406,48 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Dispatches one request; returns `(status, body, initiate_shutdown)`.
-fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String, bool) {
+/// A response: status and JSON body. Handlers return early replies
+/// (bad input, a full queue) as `Err`.
+type Reply = (u16, String);
+
+/// Dispatches one request.
+fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
+    let draining = shared.draining.load(Ordering::SeqCst);
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".into(), false),
-        ("GET", "/readyz") => {
-            // Readiness, distinct from liveness: a draining node is
-            // alive (finishing work, accepting completions) but must
-            // not receive new traffic.
-            if shared.draining.load(Ordering::SeqCst) {
-                (503, "{\"status\":\"draining\"}".into(), false)
-            } else {
-                (200, "{\"status\":\"ready\"}".into(), false)
-            }
-        }
+        ("GET", "/healthz") => Ok((200, "{\"status\":\"ok\"}".into())),
+        // Readiness, distinct from liveness: a draining node is alive
+        // (finishing work, accepting completions) but must not receive
+        // new traffic.
+        ("GET", "/readyz") if draining => Ok((503, "{\"status\":\"draining\"}".into())),
+        ("GET", "/readyz") => Ok((200, "{\"status\":\"ready\"}".into())),
         ("GET", "/metrics") => {
             // A metrics scrape doubles as a lazy lease sweep: cells
             // abandoned by crashed workers are requeued here (and on
             // every claim/complete), never by a background thread — an
             // idle node does zero work between requests.
-            let requeued = shared.store.sweep_expired();
-            Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
+            shared.sweep_leases();
             let (queue_depth, cached) = {
                 let state = shared.state.lock().expect("state lock");
                 (shared.store.depth(), state.cache.len())
             };
-            let snapshot = shared
-                .metrics
-                .snapshot(queue_depth, cached, shared.config.workers);
-            match serde_json::to_string(&snapshot) {
-                Ok(body) => (200, body, false),
-                Err(e) => (500, error_body(&e.to_string()), false),
-            }
+            let workers = shared.config.workers;
+            to_json(&shared.metrics.snapshot(queue_depth, cached, workers))
         }
-        ("GET", "/v1/presets") => match serde_json::to_string(&presets()) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        },
+        ("GET", "/v1/presets") => to_json(&presets()),
         // The adversary-zoo registry: pure data straight from
         // `ahn_core::scenarios`, so clients can enumerate the scenario
         // axis they may put in a `/v1/sweeps` grid.
-        ("GET", "/v1/scenarios") => match serde_json::to_string(&ahn_core::builtin_scenarios()) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        },
+        ("GET", "/v1/scenarios") => to_json(&ahn_core::builtin_scenarios()),
         // A draining node takes no new work: submissions answer 503 so
         // callers retry elsewhere (or later), and claims answer empty
         // so pull workers idle out instead of erroring. Completions for
         // work already leased keep landing below.
-        ("POST", "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations")
-            if shared.draining.load(Ordering::SeqCst) =>
-        {
-            (
-                503,
-                error_body("server is draining, no new submissions"),
-                false,
-            )
+        ("POST", "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations") if draining => {
+            Err((503, error_body("server is draining, no new submissions")))
         }
-        ("POST", "/v1/work/claim") if shared.draining.load(Ordering::SeqCst) => {
+        ("POST", "/v1/work/claim") if draining => {
             Metrics::bump(&shared.metrics.work_claim_empty);
-            (
-                200,
-                "{\"status\":\"empty\",\"reason\":\"draining\"}".into(),
-                false,
-            )
+            Ok((200, "{\"status\":\"empty\",\"reason\":\"draining\"}".into()))
         }
         ("POST", "/v1/experiments") => submit(shared, &req.body),
         ("POST", "/v1/sweeps") => submit_sweep(shared, &req.body),
@@ -466,22 +455,35 @@ fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String, bool) {
         ("POST", "/v1/work/claim") => work_claim(shared, &req.body),
         ("POST", "/v1/work/complete") => work_complete(shared, &req.body),
         ("GET", path) if path.starts_with("/v1/jobs/") => job_status(shared, path),
-        ("POST", "/v1/shutdown") => (200, "{\"status\":\"shutting-down\"}".into(), true),
+        ("POST", "/v1/shutdown") => Ok((200, "{\"status\":\"shutting-down\"}".into())),
         (
             _,
             "/healthz" | "/readyz" | "/metrics" | "/v1/presets" | "/v1/scenarios"
             | "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations" | "/v1/work/claim"
             | "/v1/work/complete" | "/v1/shutdown",
-        ) => (405, error_body("method not allowed"), false),
-        (_, path) if path.starts_with("/v1/jobs/") => {
-            (405, error_body("method not allowed"), false)
-        }
-        _ => (404, error_body("no such route"), false),
+        ) => Err((405, error_body("method not allowed"))),
+        (_, path) if path.starts_with("/v1/jobs/") => Err((405, error_body("method not allowed"))),
+        _ => Err((404, error_body("no such route"))),
+    }
+}
+
+/// Decodes a JSON request body; bad UTF-8 or bad JSON is a 400 naming
+/// `what` was expected.
+fn decode<T: serde::DeserializeOwned>(body: &[u8], what: &str) -> Result<T, Reply> {
+    let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8".into()))?;
+    serde_json::from_str(text).map_err(|e| bad_request(format!("cannot parse {what}: {e}")))
+}
+
+/// A 200 carrying `value` as JSON.
+fn to_json<T: serde::Serialize>(value: &T) -> Result<Reply, Reply> {
+    match serde_json::to_string(value) {
+        Ok(body) => Ok((200, body)),
+        Err(e) => Err((500, error_body(&e.to_string()))),
     }
 }
 
 /// How one cache/coalesce/enqueue attempt ended — shared by the
-/// single-experiment and sweep submission routes.
+/// single-experiment and grid submission routes.
 enum SubmitOutcome {
     /// The result was already cached; the JSON is ready to embed.
     Cached(Arc<str>),
@@ -495,7 +497,7 @@ enum SubmitOutcome {
 /// Runs one resolved, validated spec through the cache lookup →
 /// coalesce → enqueue flow, bumping the submission metrics and emitting
 /// the cell's root trace spans (submit/enqueue/coalesce).
-fn submit_spec(shared: &Arc<Shared>, spec: JobSpec, key: u64) -> SubmitOutcome {
+fn submit_spec(shared: &Shared, spec: JobSpec, key: u64) -> SubmitOutcome {
     /// Which path the submission took, remembered across the lock scope
     /// so trace emission (file I/O) happens after the lock is released.
     enum Flow {
@@ -591,84 +593,58 @@ fn submit_spec(shared: &Arc<Shared>, spec: JobSpec, key: u64) -> SubmitOutcome {
 
 /// The `POST /v1/experiments` flow: parse, resolve, validate, hash,
 /// then the shared [`submit_spec`] flow.
-fn submit(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let spec: JobSpec = match serde_json::from_str(text) {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse JobSpec: {e}")),
-                false,
-            )
-        }
-    };
-    let spec = match spec.resolve() {
-        Ok(s) => s,
-        Err(e) => return (400, error_body(&e), false),
-    };
-    if let Err(e) = spec.validate() {
-        return (400, error_body(&e), false);
-    }
-    let key = match spec.cache_key() {
-        Ok(k) => k,
-        Err(e) => return (500, error_body(&e), false),
-    };
+fn submit(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let spec: JobSpec = decode(body, "JobSpec")?;
+    let spec = spec.resolve().map_err(bad_request)?;
+    spec.validate().map_err(bad_request)?;
+    let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
 
     match submit_spec(shared, spec, key) {
         // Format outside the critical section: the response embeds the
         // whole result JSON, and an O(result-size) copy under the state
         // lock would serialize the cache-hit hot path.
-        SubmitOutcome::Cached(result) => (
+        SubmitOutcome::Cached(result) => Ok((
             200,
             format!("{{\"job_id\":null,\"status\":\"done\",\"cached\":true,\"result\":{result}}}"),
-            false,
-        ),
+        )),
         SubmitOutcome::Job { id, status } => {
             let ack = SubmitAck {
                 job_id: id,
                 status: status.as_str().into(),
                 cached: false,
             };
-            (
+            Ok((
                 202,
                 serde_json::to_string(&ack).unwrap_or_else(|_| "{}".into()),
-                false,
-            )
+            ))
         }
-        SubmitOutcome::QueueFull => (503, error_body("job queue is full, retry later"), false),
+        SubmitOutcome::QueueFull => Err((503, error_body("job queue is full, retry later"))),
     }
 }
 
-/// Validates, hashes and submits one expanded grid cell, formatting its
-/// response entry (shared by the sweep and calibration routes); errors
-/// carry the ready-to-send `(status, body)`.
-fn submit_cell_entry(
-    shared: &Arc<Shared>,
-    spec: JobSpec,
-    coords: &str,
-) -> Result<String, (u16, String)> {
-    if let Err(e) = spec.validate() {
-        return Err((400, error_body(&e)));
+/// Validates and submits expanded grid cells, each with the coordinates
+/// its response entry names, and formats the `{"cells":[...]}` body
+/// (shared by the sweep and calibration routes).
+fn submit_cells(shared: &Shared, cells: Vec<(GridCell, String)>) -> Result<Reply, Reply> {
+    let mut entries = Vec::with_capacity(cells.len());
+    for (cell, coords) in cells {
+        cell.job.validate().map_err(bad_request)?;
+        entries.push(match submit_spec(shared, cell.job, cell.key) {
+            SubmitOutcome::Cached(result) => format!(
+                "{{\"spec\":{coords},\"job_id\":null,\"status\":\"done\",\
+                 \"cached\":true,\"result\":{result}}}"
+            ),
+            SubmitOutcome::Job { id, status } => format!(
+                "{{\"spec\":{coords},\"job_id\":{id},\"status\":\"{}\",\"cached\":false}}",
+                status.as_str()
+            ),
+            SubmitOutcome::QueueFull => format!(
+                "{{\"spec\":{coords},\"job_id\":null,\"status\":\"rejected\",\
+                 \"cached\":false}}"
+            ),
+        });
     }
-    let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
-    Ok(match submit_spec(shared, spec, key) {
-        SubmitOutcome::Cached(result) => format!(
-            "{{\"spec\":{coords},\"job_id\":null,\"status\":\"done\",\
-             \"cached\":true,\"result\":{result}}}"
-        ),
-        SubmitOutcome::Job { id, status } => format!(
-            "{{\"spec\":{coords},\"job_id\":{id},\"status\":\"{}\",\"cached\":false}}",
-            status.as_str()
-        ),
-        SubmitOutcome::QueueFull => format!(
-            "{{\"spec\":{coords},\"job_id\":null,\"status\":\"rejected\",\
-             \"cached\":false}}"
-        ),
-    })
+    Ok((200, format!("{{\"cells\":[{}]}}", entries.join(","))))
 }
 
 /// The `POST /v1/sweeps` flow: parse a [`ahn_core::sweeps::SweepGrid`],
@@ -683,58 +659,26 @@ fn submit_cell_entry(
 /// carry their result inline, fresh/coalesced cells a `job_id` to poll
 /// at `GET /v1/jobs/{id}`, and cells bounced by a full queue the status
 /// `"rejected"` (the caller retries just those).
-fn submit_sweep(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let grid: ahn_core::sweeps::SweepGrid = match serde_json::from_str(text) {
-        Ok(g) => g,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse SweepGrid: {e}")),
-                false,
-            )
-        }
-    };
+fn submit_sweep(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let grid: ahn_core::sweeps::SweepGrid = decode(body, "SweepGrid")?;
     // Cap the expansion before anything O(cells) runs (validation
     // included): a kilobyte of repeated axis values would otherwise
     // expand to millions of cells of server-side work and an unbounded
     // response body.
     if grid.cell_count() > MAX_SWEEP_CELLS {
-        return (
-            400,
-            error_body(&format!(
-                "sweep expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
-                 split the grid into smaller submissions",
-                grid.cell_count()
-            )),
-            false,
-        );
+        return Err(bad_request(format!(
+            "sweep expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
+             split the grid into smaller submissions",
+            grid.cell_count()
+        )));
     }
-    if let Err(e) = grid.validate() {
-        return (400, error_body(&e), false);
-    }
-
-    let mut cells = Vec::with_capacity(grid.cell_count());
-    for cell_spec in grid.cell_specs() {
-        let (config, case) = match grid.resolve(&cell_spec) {
-            Ok(resolved) => resolved,
-            Err(e) => return (400, error_body(&e), false),
-        };
-        let spec = JobSpec::Experiment {
-            config,
-            cases: vec![case],
-        };
-        let spec_json = serde_json::to_string(&cell_spec).unwrap_or_else(|_| "{}".into());
-        match submit_cell_entry(shared, spec, &spec_json) {
-            Ok(entry) => cells.push(entry),
-            Err((status, body)) => return (status, body, false),
-        }
-    }
-    let body = format!("{{\"cells\":[{}]}}", cells.join(","));
-    (200, body, false)
+    grid.validate().map_err(bad_request)?;
+    let cells = grid_cells(&grid).map_err(bad_request)?;
+    let cells = cells.into_iter().map(|cell| {
+        let coords = serde_json::to_string(&cell.cell).unwrap_or_else(|_| "{}".into());
+        (cell, coords)
+    });
+    submit_cells(shared, cells.collect())
 }
 
 /// The `POST /v1/calibrations` flow: parse an
@@ -750,87 +694,48 @@ fn submit_sweep(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
 /// (candidates outermost, then the candidate's sweep-cell order):
 /// cached cells carry their result inline, fresh/coalesced cells a
 /// `job_id`, queue-bounced cells the status `"rejected"`.
-fn submit_calibration(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let grid: ahn_core::calibrate::CalibrationGrid = match serde_json::from_str(text) {
-        Ok(g) => g,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse CalibrationGrid: {e}")),
-                false,
-            )
-        }
-    };
+fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let grid: ahn_core::calibrate::CalibrationGrid = decode(body, "CalibrationGrid")?;
     // Cap the expansion before anything O(cells) runs, like /v1/sweeps.
     if grid.cell_count() > MAX_SWEEP_CELLS {
-        return (
-            400,
-            error_body(&format!(
-                "calibration expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
-                 lower max_candidates or split the search",
-                grid.cell_count()
-            )),
-            false,
-        );
+        return Err(bad_request(format!(
+            "calibration expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
+             lower max_candidates or split the search",
+            grid.cell_count()
+        )));
     }
-    if let Err(e) = grid.validate() {
-        return (400, error_body(&e), false);
-    }
-
+    grid.validate().map_err(bad_request)?;
     let mut cells = Vec::with_capacity(grid.cell_count());
     for candidate in grid.candidates() {
-        let sweep = match grid.sweep_for(&candidate) {
-            Ok(s) => s,
-            Err(e) => return (400, error_body(&e), false),
-        };
-        for cell_spec in sweep.cell_specs() {
-            let (config, case) = match sweep.resolve(&cell_spec) {
-                Ok(resolved) => resolved,
-                Err(e) => return (400, error_body(&e), false),
-            };
-            let spec = JobSpec::Experiment {
-                config,
-                cases: vec![case],
-            };
+        let sweep = grid.sweep_for(&candidate).map_err(bad_request)?;
+        for cell in grid_cells(&sweep).map_err(bad_request)? {
             let coords = format!(
                 "{{\"candidate\":{},\"case_no\":{},\"seed_block\":{}}}",
-                candidate.id, cell_spec.case_no, cell_spec.seed_block
+                candidate.id, cell.cell.case_no, cell.cell.seed_block
             );
-            match submit_cell_entry(shared, spec, &coords) {
-                Ok(entry) => cells.push(entry),
-                Err((status, body)) => return (status, body, false),
-            }
+            cells.push((cell, coords));
         }
     }
-    let body = format!("{{\"cells\":[{}]}}", cells.join(","));
-    (200, body, false)
+    submit_cells(shared, cells)
 }
 
 /// The `GET /v1/jobs/{id}` flow.
-fn job_status(shared: &Arc<Shared>, path: &str) -> (u16, String, bool) {
+fn job_status(shared: &Shared, path: &str) -> Result<Reply, Reply> {
     let id_text = &path["/v1/jobs/".len()..];
-    let Ok(id) = id_text.parse::<u64>() else {
-        return (400, error_body(&format!("bad job id {id_text:?}")), false);
-    };
+    let id = id_text
+        .parse::<u64>()
+        .map_err(|_| bad_request(format!("bad job id {id_text:?}")))?;
     // Copy the record's cheap parts (the result is an Arc) and format
     // outside the critical section.
-    let record = {
-        let state = shared.state.lock().expect("state lock");
-        match state.jobs.get(&id) {
-            Some(record) => record.clone(),
-            None => {
-                return (
-                    404,
-                    error_body("no such job (pruned or never created)"),
-                    false,
-                )
-            }
-        }
-    };
+    let record = shared
+        .state
+        .lock()
+        .expect("state lock")
+        .jobs
+        .get(&id)
+        .cloned();
+    let record =
+        record.ok_or_else(|| (404, error_body("no such job (pruned or never created)")))?;
     let body = match record.status {
         JobStatus::Done => {
             let result = record.result.as_deref().unwrap_or("null");
@@ -843,31 +748,50 @@ fn job_status(shared: &Arc<Shared>, path: &str) -> (u16, String, bool) {
         }
         status => format!("{{\"job_id\":{id},\"status\":\"{}\"}}", status.as_str()),
     };
-    (200, body, false)
+    Ok((200, body))
+}
+
+/// Leases the next still-pending job, for either kind of worker:
+/// `lease: None` blocks on the store's condvar and leases with no
+/// deadline (an in-process worker), `Some(lease)` is a pull worker's
+/// non-blocking claim. A requeued copy of a job that a late completion
+/// already settled is released and skipped instead of being handed out
+/// again. The granted job turns `Running`, and its queue wait ends.
+fn claim_pending(shared: &Shared, lease: Option<Duration>) -> Option<LeasedJob> {
+    loop {
+        let leased = match lease {
+            None => shared.store.claim_blocking(),
+            Some(lease) => shared.store.claim(lease),
+        }?;
+        let pending = {
+            let mut state = shared.state.lock().expect("state lock");
+            match state.jobs.get_mut(&leased.job.id) {
+                Some(record) if matches!(record.status, JobStatus::Queued | JobStatus::Running) => {
+                    record.status = JobStatus::Running;
+                    true
+                }
+                _ => false,
+            }
+        };
+        if pending {
+            shared
+                .metrics
+                .queue_wait_us
+                .record(leased.job.enqueued_at.elapsed().as_micros() as u64);
+            return Some(leased);
+        }
+        shared.store.complete_lease(leased.lease_id);
+    }
 }
 
 /// The `POST /v1/work/claim` flow: sweep expired leases (the only
 /// sweep trigger besides `/v1/work/complete` and `/metrics` — request
 /// driven, so an idle node never spins), then lease the front of the
 /// queue to the caller. An empty queue answers `{"status":"empty"}`.
-fn work_claim(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let request: ClaimRequest = if text.trim().is_empty() {
-        ClaimRequest::default()
-    } else {
-        match serde_json::from_str(text) {
-            Ok(r) => r,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("cannot parse claim request: {e}")),
-                    false,
-                )
-            }
-        }
+fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let request: ClaimRequest = match std::str::from_utf8(body) {
+        Ok(text) if text.trim().is_empty() => ClaimRequest::default(),
+        _ => decode(body, "claim request")?,
     };
     let lease_ms = request
         .lease_ms
@@ -885,103 +809,59 @@ fn work_claim(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
         shared.metrics.backoff_sleep_ms.record(backoff_ms);
     }
 
-    let requeued = shared.store.sweep_expired();
-    Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-
-    loop {
-        let Some(leased) = shared.store.claim(Duration::from_millis(lease_ms)) else {
-            Metrics::bump(&shared.metrics.work_claim_empty);
-            return (200, "{\"status\":\"empty\"}".into(), false);
-        };
-        // A requeued copy of a job can race its own late completion;
-        // skip anything already settled instead of handing out a cell
-        // whose result is in the cache.
-        let still_pending = {
-            let mut state = shared.state.lock().expect("state lock");
-            match state.jobs.get_mut(&leased.job.id) {
-                Some(record) if matches!(record.status, JobStatus::Queued | JobStatus::Running) => {
-                    record.status = JobStatus::Running;
-                    true
-                }
-                _ => false,
-            }
-        };
-        if !still_pending {
-            shared.store.complete_lease(leased.lease_id);
-            continue;
+    shared.sweep_leases();
+    let Some(leased) = claim_pending(shared, Some(Duration::from_millis(lease_ms))) else {
+        Metrics::bump(&shared.metrics.work_claim_empty);
+        return Ok((200, "{\"status\":\"empty\"}".into()));
+    };
+    Metrics::bump(&shared.metrics.work_claims);
+    {
+        // The grant starts the claim round trip.
+        let mut starts = shared.lease_starts.lock().expect("lease starts lock");
+        // Completions that never arrive would leak entries; drop
+        // anything older than the longest possible lease.
+        if starts.len() >= 1024 {
+            let horizon = Duration::from_millis(MAX_LEASE_MS);
+            starts.retain(|_, at| at.elapsed() < horizon);
         }
-        Metrics::bump(&shared.metrics.work_claims);
-        // The cell just left the queue: that ends its queue wait and
-        // starts its claim round trip.
-        shared
-            .metrics
-            .queue_wait_us
-            .record(leased.job.enqueued_at.elapsed().as_micros() as u64);
-        {
-            let mut starts = shared.lease_starts.lock().expect("lease starts lock");
-            // Completions that never arrive would leak entries; drop
-            // anything older than the longest possible lease.
-            if starts.len() >= 1024 {
-                let horizon = Duration::from_millis(MAX_LEASE_MS);
-                starts.retain(|_, at| at.elapsed() < horizon);
-            }
-            starts.insert(leased.lease_id, Instant::now());
-        }
-        let trace_id = trace_id_of_key(leased.job.key);
-        shared.emit(
-            TraceEvent::new(trace_id, "lease")
-                .key(leased.job.key)
-                .job(leased.job.id)
-                .lease(leased.lease_id),
-        );
-        let grant = WorkGrant {
-            lease_id: leased.lease_id,
-            job_id: leased.job.id,
-            key: leased.job.key,
-            lease_ms,
-            trace_id: Some(trace_id),
-            spec: leased.job.spec,
-        };
-        return match serde_json::to_string(&grant) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        };
+        starts.insert(leased.lease_id, Instant::now());
     }
+    let trace_id = trace_id_of_key(leased.job.key);
+    shared.emit(
+        TraceEvent::new(trace_id, "lease")
+            .key(leased.job.key)
+            .job(leased.job.id)
+            .lease(leased.lease_id),
+    );
+    to_json(&WorkGrant {
+        lease_id: leased.lease_id,
+        job_id: leased.job.id,
+        key: leased.job.key,
+        lease_ms,
+        trace_id: Some(trace_id),
+        spec: leased.job.spec,
+    })
 }
 
-/// The `POST /v1/work/complete` flow, mirroring the bookkeeping of
-/// [`worker_loop`]: first completion wins (`{"status":"recorded"}`),
-/// later deliveries for the same job — retried leases, expired leases
-/// whose worker finished late — are discarded as
-/// `{"status":"duplicate"}`. The completion is accepted even when the
-/// lease already expired: the result is still bit-identical, only the
-/// lease bookkeeping is gone.
-fn work_complete(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let completion: WorkCompletion = match serde_json::from_str(text) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse completion: {e}")),
-                false,
-            )
+/// The `POST /v1/work/complete` flow: the pull worker's delivery goes
+/// through the same [`settle`] as an in-process worker's result. First
+/// completion wins (`{"status":"recorded"}`); later deliveries for the
+/// same job — retried leases, expired leases whose worker finished
+/// late — are discarded as `{"status":"duplicate"}`. The completion is
+/// accepted even when the lease already expired: the result is still
+/// bit-identical, only the lease bookkeeping is gone.
+fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let completion: WorkCompletion = decode(body, "completion")?;
+    let outcome = match (completion.result, completion.error) {
+        (Some(result), None) => Ok(result),
+        (None, Some(error)) => Err(error),
+        _ => {
+            return Err(bad_request(
+                "exactly one of result and error must be set".into(),
+            ))
         }
     };
-    if completion.result.is_some() == completion.error.is_some() {
-        return (
-            400,
-            error_body("exactly one of result and error must be set"),
-            false,
-        );
-    }
-    let requeued = shared.store.sweep_expired();
-    Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-    shared.store.complete_lease(completion.lease_id);
-
+    shared.sweep_leases();
     // The completion ends the lease's round trip (grant → accepted);
     // expired leases whose start was pruned simply go unsampled.
     if let Some(granted_at) = shared
@@ -995,185 +875,197 @@ fn work_complete(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
             .claim_rtt_us
             .record(granted_at.elapsed().as_micros() as u64);
     }
-    // Compute time is worker-measured: the server cannot see the remote
-    // clock, so it trusts the self-report (telemetry, not accounting).
-    if let Some(compute_us) = completion.compute_us {
-        shared.metrics.job_compute_us.record(compute_us);
-    }
-    let trace_id = trace_id_of_key(completion.key);
-
-    let mut state = shared.state.lock().expect("state lock");
-    let status = match state.jobs.get(&completion.job_id) {
-        Some(record) => record.status,
-        None => {
-            return (
-                404,
-                error_body("no such job (pruned or never created)"),
-                false,
-            )
-        }
+    let origin = Origin::External {
+        compute_us: completion.compute_us,
     };
-    if matches!(status, JobStatus::Done | JobStatus::Failed) {
-        Metrics::bump(&shared.metrics.work_duplicate);
-        drop(state);
-        shared.emit(
-            TraceEvent::new(trace_id, "duplicate")
-                .key(completion.key)
-                .job(completion.job_id)
-                .lease(completion.lease_id),
-        );
-        return (200, "{\"status\":\"duplicate\"}".into(), false);
+    let (job_id, key, lease_id) = (completion.job_id, completion.key, completion.lease_id);
+    match settle(shared, job_id, key, lease_id, outcome, origin) {
+        Settled::Recorded => Ok((200, "{\"status\":\"recorded\"}".into())),
+        Settled::Duplicate => Ok((200, "{\"status\":\"duplicate\"}".into())),
+        Settled::UnknownJob => Err((404, error_body("no such job (pruned or never created)"))),
+        Settled::KeyMismatch => Err(bad_request(
+            "completion key does not match the job's spec hash".into(),
+        )),
     }
-    // Idempotency cross-check: while a job is pending its cache key is
-    // in the inflight map, so a completion whose key disagrees with the
-    // server's record is a client bug, not a mergeable result.
-    if state.inflight.get(&completion.key) != Some(&completion.job_id) {
-        return (
-            400,
-            error_body("completion key does not match the job's spec hash"),
-            false,
-        );
-    }
-
-    let mut recorded: Option<Arc<str>> = None;
-    match &completion.result {
-        Some(json) => {
-            let result: Arc<str> = Arc::from(json.as_str());
-            state.cache.put(completion.key, Arc::clone(&result));
-            if let Some(record) = state.jobs.get_mut(&completion.job_id) {
-                record.status = JobStatus::Done;
-                record.result = Some(Arc::clone(&result));
-            }
-            recorded = Some(result);
-            Metrics::bump(&shared.metrics.jobs_completed);
-            Metrics::bump(&shared.metrics.work_completed);
-            // Externally computed cells count here, *not* in
-            // `games_simulated`: that gauge stays honest local compute
-            // (this node never simulated these games).
-            Metrics::bump(&shared.metrics.cells_completed_external);
-        }
-        None => {
-            if let Some(record) = state.jobs.get_mut(&completion.job_id) {
-                record.status = JobStatus::Failed;
-                record.error = completion.error.clone();
-            }
-            Metrics::bump(&shared.metrics.jobs_failed);
-        }
-    }
-    state.inflight.remove(&completion.key);
-    state.finished.push_back(completion.job_id);
-    while state.finished.len() > state.retain_finished {
-        if let Some(old) = state.finished.pop_front() {
-            state.jobs.remove(&old);
-        }
-    }
-    drop(state);
-    // Journal outside the state lock: durability is per-store (no-op in
-    // memory, one flushed line on disk) and must not serialize requests.
-    if let Some(result) = recorded {
-        shared.store.record_completion(completion.key, &result);
-    }
-    let mut complete = TraceEvent::new(trace_id, "complete")
-        .key(completion.key)
-        .job(completion.job_id)
-        .lease(completion.lease_id)
-        .outcome(completion.result.is_some());
-    if let Some(compute_us) = completion.compute_us {
-        complete = complete.dur_us(compute_us);
-    }
-    shared.emit(complete);
-    (200, "{\"status\":\"recorded\"}".into(), false)
 }
 
-/// Worker thread body: drain the queue until it closes.
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.store.pop_blocking() {
-        // A requeued copy of a job an external worker finished late is
-        // already settled; skip it rather than recompute.
-        let still_pending = {
-            let mut state = shared.state.lock().expect("state lock");
-            match state.jobs.get_mut(&job.id) {
-                Some(record) if matches!(record.status, JobStatus::Queued | JobStatus::Running) => {
-                    record.status = JobStatus::Running;
-                    true
-                }
-                _ => false,
-            }
-        };
-        if !still_pending {
-            continue;
-        }
+/// Who computed the outcome being settled.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// An in-process worker. Its games count toward `games_simulated`
+    /// and its compute time toward `busy_nanos`.
+    Local { games: u64, busy_nanos: u64 },
+    /// A pull worker, through `POST /v1/work/complete`. Its compute
+    /// time is self-reported: the server cannot see the remote clock,
+    /// so it trusts the report (telemetry, not accounting).
+    External { compute_us: Option<u64> },
+}
 
-        // Visible to the drain loop: a job inside `run_job` is neither
-        // queued nor leased, but a drain must still wait for it.
-        shared.busy_jobs.fetch_add(1, Ordering::SeqCst);
-        shared
-            .metrics
-            .queue_wait_us
-            .record(job.enqueued_at.elapsed().as_micros() as u64);
-        let trace_id = trace_id_of_key(job.key);
-        let started = Instant::now();
-        let outcome = run_job(&job.spec);
-        let elapsed_nanos = started.elapsed().as_nanos() as u64;
-        shared.metrics.job_compute_us.record(elapsed_nanos / 1_000);
-        shared.emit(
-            TraceEvent::new(trace_id, "compute")
-                .key(job.key)
-                .job(job.id)
-                .dur_us(elapsed_nanos / 1_000)
-                .outcome(outcome.is_ok()),
-        );
+/// How a settlement ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// The first outcome for the job: recorded.
+    Recorded,
+    /// The job was already settled; this outcome was discarded.
+    Duplicate,
+    /// No such job (pruned, or never created).
+    UnknownJob,
+    /// The key does not match the pending job's spec hash.
+    KeyMismatch,
+}
 
-        if let Ok(json) = &outcome {
-            // Durable before visible: journal the completion (no-op in
-            // memory) outside the state lock.
-            shared.store.record_completion(job.key, json);
+/// Settles the outcome of job `job_id` (cache key `key`, held under
+/// `lease_id`), whoever computed it, then releases the lease.
+///
+/// First completion wins: a job already done or failed keeps its
+/// record, and the late outcome is a [`Settled::Duplicate`] (a local
+/// run of a requeued cell that a pull worker finished first, or a
+/// retried delivery).
+///
+/// The order is the same for both origins: the outcome becomes visible
+/// (cache, job record, metrics) under the state lock, in the same
+/// critical section as the first-completion check; the journal append
+/// follows outside the lock; the lease is released last. So exactly one
+/// result per job reaches the journal — the one the server served — and
+/// a draining node, which waits for leases, never stops between the
+/// result becoming visible and its append. A crash in that window loses
+/// only the journal line: a resubmitted cell is recomputed to identical
+/// bytes.
+fn settle(
+    shared: &Shared,
+    job_id: u64,
+    key: u64,
+    lease_id: u64,
+    outcome: Result<String, String>,
+    origin: Origin,
+) -> Settled {
+    let compute_us = match origin {
+        Origin::Local { busy_nanos, .. } => Some(busy_nanos / 1_000),
+        Origin::External { compute_us } => compute_us,
+    };
+    if let Some(compute_us) = compute_us {
+        shared.metrics.job_compute_us.record(compute_us);
+    }
+    // Local spans name no lease: an in-process lease never leaves this
+    // node, so no other log refers to it.
+    let span = |name: &str| {
+        let event = TraceEvent::new(trace_id_of_key(key), name)
+            .key(key)
+            .job(job_id);
+        match origin {
+            Origin::Local { .. } => event,
+            Origin::External { .. } => event.lease(lease_id),
         }
-        let mut state = shared.state.lock().expect("state lock");
+    };
+
+    let mut state = shared.state.lock().expect("state lock");
+    let settled = match state.jobs.get(&job_id).map(|r| r.status) {
+        None => Settled::UnknownJob,
+        Some(JobStatus::Done | JobStatus::Failed) => Settled::Duplicate,
+        // Idempotency cross-check: while a job is pending its cache key
+        // is in the inflight map, so a completion whose key disagrees
+        // with the server's record is a client bug, not a mergeable
+        // result.
+        Some(_) if state.inflight.get(&key) != Some(&job_id) => Settled::KeyMismatch,
+        Some(_) => Settled::Recorded,
+    };
+    let mut recorded: Option<Arc<str>> = None;
+    if settled == Settled::Recorded {
+        let state = &mut *state;
+        let record = state
+            .jobs
+            .get_mut(&job_id)
+            .expect("a pending job has a record");
         match outcome {
             Ok(json) => {
                 let result: Arc<str> = Arc::from(json);
-                state.cache.put(job.key, Arc::clone(&result));
-                if let Some(record) = state.jobs.get_mut(&job.id) {
-                    record.status = JobStatus::Done;
-                    record.result = Some(result);
-                }
+                state.cache.put(key, Arc::clone(&result));
+                record.status = JobStatus::Done;
+                record.result = Some(Arc::clone(&result));
+                recorded = Some(result);
                 Metrics::bump(&shared.metrics.jobs_completed);
-                Metrics::add(&shared.metrics.games_simulated, job.spec.games());
-                Metrics::add(&shared.metrics.busy_nanos, elapsed_nanos);
+                match origin {
+                    Origin::Local { games, busy_nanos } => {
+                        Metrics::add(&shared.metrics.games_simulated, games);
+                        Metrics::add(&shared.metrics.busy_nanos, busy_nanos);
+                    }
+                    Origin::External { .. } => {
+                        Metrics::bump(&shared.metrics.work_completed);
+                        // Externally computed cells count here, *not* in
+                        // `games_simulated`: that gauge stays honest
+                        // local compute (this node never simulated
+                        // these games).
+                        Metrics::bump(&shared.metrics.cells_completed_external);
+                    }
+                }
             }
             Err(error) => {
-                if let Some(record) = state.jobs.get_mut(&job.id) {
-                    record.status = JobStatus::Failed;
-                    record.error = Some(error);
-                }
+                record.status = JobStatus::Failed;
+                record.error = Some(error);
                 Metrics::bump(&shared.metrics.jobs_failed);
             }
         }
-        let succeeded = state
-            .jobs
-            .get(&job.id)
-            .map(|r| r.status == JobStatus::Done)
-            .unwrap_or(false);
-        state.inflight.remove(&job.key);
-        state.finished.push_back(job.id);
+        state.inflight.remove(&key);
+        state.finished.push_back(job_id);
         while state.finished.len() > state.retain_finished {
             if let Some(old) = state.finished.pop_front() {
                 state.jobs.remove(&old);
             }
         }
-        drop(state);
+    }
+    drop(state);
+
+    match settled {
+        Settled::Recorded => {
+            if let Some(result) = &recorded {
+                shared.store.record_completion(key, result);
+            }
+            let mut complete = span("complete").outcome(recorded.is_some());
+            if let Origin::External {
+                compute_us: Some(compute_us),
+            } = origin
+            {
+                complete = complete.dur_us(compute_us);
+            }
+            shared.emit(complete);
+        }
+        Settled::Duplicate => {
+            if let Origin::External { .. } = origin {
+                Metrics::bump(&shared.metrics.work_duplicate);
+            }
+            shared.emit(span("duplicate"));
+        }
+        Settled::UnknownJob | Settled::KeyMismatch => {}
+    }
+    shared.store.complete_lease(lease_id);
+    settled
+}
+
+/// In-process worker body: claim, compute and settle until the store
+/// closes.
+fn worker_loop(shared: &Shared) {
+    while let Some(LeasedJob { lease_id, job }) = claim_pending(shared, None) {
+        let started = Instant::now();
+        let outcome = run_job(&job.spec);
+        let busy_nanos = started.elapsed().as_nanos() as u64;
         shared.emit(
-            TraceEvent::new(trace_id, "complete")
+            TraceEvent::new(trace_id_of_key(job.key), "compute")
                 .key(job.key)
                 .job(job.id)
-                .outcome(succeeded),
+                .dur_us(busy_nanos / 1_000)
+                .outcome(outcome.is_ok()),
         );
-        // Decrement only after the result is visible: the drain loop
-        // must not observe zero outstanding work while a completed
-        // job's bookkeeping is still in flight.
-        shared.busy_jobs.fetch_sub(1, Ordering::SeqCst);
+        let origin = Origin::Local {
+            games: job.spec.games(),
+            busy_nanos,
+        };
+        settle(shared, job.id, job.key, lease_id, outcome, origin);
     }
+}
+
+/// A 400 carrying `message`.
+fn bad_request(message: String) -> Reply {
+    (400, error_body(&message))
 }
 
 /// `{"error": <json-escaped message>}`.
@@ -1182,4 +1074,92 @@ fn error_body(message: &str) -> String {
         "{{\"error\":{}}}",
         serde_json::to_string(message).unwrap_or_else(|_| "\"error\"".into())
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadtest::smoke_spec;
+
+    /// A server's shared state with no threads or sockets behind it.
+    fn shared() -> Shared {
+        let config = ServerConfig {
+            workers: 0,
+            ..ServerConfig::default()
+        };
+        Shared::new(config, "127.0.0.1:0".parse().unwrap()).unwrap()
+    }
+
+    /// Submits a job, leases it to a pull worker whose lease expires,
+    /// and lets an in-process worker pick up the requeued copy. Returns
+    /// `(job id, key, pull worker's lease, local lease)`.
+    fn requeued_into_a_local_worker(shared: &Shared) -> (u64, u64, u64, u64) {
+        let spec = smoke_spec(1);
+        let key = spec.cache_key().unwrap();
+        let SubmitOutcome::Job { id, .. } = submit_spec(shared, spec, key) else {
+            panic!("a fresh spec must queue a job");
+        };
+        let external = claim_pending(shared, Some(Duration::ZERO)).unwrap();
+        assert_eq!(shared.store.sweep_expired(), 1);
+        let local = claim_pending(shared, None).unwrap();
+        assert_eq!(local.job.id, id);
+        (id, key, external.lease_id, local.lease_id)
+    }
+
+    fn count(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_late_local_completion_is_a_duplicate() {
+        let shared = shared();
+        let (id, key, external, local) = requeued_into_a_local_worker(&shared);
+        let pull = Origin::External { compute_us: None };
+        let settled = settle(&shared, id, key, external, Ok("[1]".into()), pull);
+        assert_eq!(settled, Settled::Recorded);
+        let local_run = Origin::Local {
+            games: 7,
+            busy_nanos: 1_000,
+        };
+        let settled = settle(&shared, id, key, local, Ok("[2]".into()), local_run);
+        assert_eq!(settled, Settled::Duplicate);
+
+        let m = &shared.metrics;
+        assert_eq!(count(&m.jobs_completed), 1);
+        assert_eq!(count(&m.cells_completed_external), 1);
+        assert_eq!(
+            count(&m.games_simulated),
+            0,
+            "the discarded run counts no games"
+        );
+        let state = shared.state.lock().unwrap();
+        assert_eq!(state.finished.len(), 1, "finished once");
+        assert_eq!(state.jobs[&id].result.as_deref(), Some("[1]"));
+        drop(state);
+        assert_eq!(shared.store.outstanding(), 0, "both leases released");
+    }
+
+    #[test]
+    fn a_late_local_success_cannot_overwrite_a_failure() {
+        let shared = shared();
+        let (id, key, external, local) = requeued_into_a_local_worker(&shared);
+        let pull = Origin::External { compute_us: None };
+        let settled = settle(&shared, id, key, external, Err("boom".into()), pull);
+        assert_eq!(settled, Settled::Recorded);
+        let local_run = Origin::Local {
+            games: 7,
+            busy_nanos: 1_000,
+        };
+        let settled = settle(&shared, id, key, local, Ok("[2]".into()), local_run);
+        assert_eq!(settled, Settled::Duplicate);
+
+        assert_eq!(count(&shared.metrics.jobs_failed), 1);
+        assert_eq!(count(&shared.metrics.jobs_completed), 0);
+        let state = shared.state.lock().unwrap();
+        assert_eq!(state.jobs[&id].status, JobStatus::Failed);
+        assert!(
+            state.cache.is_empty(),
+            "a duplicate never reaches the cache"
+        );
+    }
 }

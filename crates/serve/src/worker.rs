@@ -138,7 +138,7 @@ pub struct WorkerReport {
 }
 
 /// Latency distributions a worker collected while running — returned by
-/// [`run_worker_observed`] next to the counter report.
+/// [`run_worker`] next to the counter report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerTelemetry {
     /// Grant received → completion acknowledged, microseconds (the
@@ -199,27 +199,20 @@ impl WorkerSummary {
 }
 
 /// Runs the claim → compute → complete loop until an exit condition of
-/// `config` fires, returning what happened. `Err` means the worker gave
-/// up (transport dead, or a protocol violation).
+/// `config` fires, returning what happened and the latency histograms
+/// it collected (claim round trip, compute, backoff sleeps). `Err`
+/// means the worker gave up (transport dead, or a protocol violation).
 ///
 /// Each claim reports the breaker trips observed since the last
 /// *acknowledged* claim (`breaker_trips` in the body), so the server's
 /// `breaker_open_total` aggregates fleet-wide trips. The report is
 /// at-least-once under faults: a delta whose claim response is lost is
 /// re-sent with the next claim.
+///
+/// When `trace` is set the worker appends one span event per lifecycle
+/// step (claim/compute/deliver/retry/breaker_open), so a cell's trail
+/// joins with the server's via the grant's `trace_id`.
 pub fn run_worker(
-    transport: &mut dyn Transport,
-    config: &WorkerConfig,
-) -> Result<WorkerReport, String> {
-    run_worker_observed(transport, config, None).map(|(report, _)| report)
-}
-
-/// [`run_worker`] with observability: collects latency histograms
-/// (claim round trip, compute, backoff sleeps) and, when `trace` is
-/// set, appends one span event per lifecycle step
-/// (claim/compute/deliver/retry/breaker_open) so a cell's trail joins
-/// with the server's via the grant's `trace_id`.
-pub fn run_worker_observed(
     transport: &mut dyn Transport,
     config: &WorkerConfig,
     trace: Option<&TraceLog>,

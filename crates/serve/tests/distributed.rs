@@ -88,7 +88,7 @@ fn start_worker(
                 seed: 3,
             },
         };
-        let outcome = run_worker(&mut transport, &config);
+        let outcome = run_worker(&mut transport, &config, None).map(|(report, _)| report);
         (outcome, transport.injected())
     })
 }
@@ -123,7 +123,7 @@ fn start_hardened_worker(
                 seed: 7,
             },
         };
-        let outcome = run_worker(&mut transport, &config);
+        let outcome = run_worker(&mut transport, &config, None).map(|(report, _)| report);
         (outcome, transport.inner().injected(), transport.opens())
     })
 }
@@ -159,7 +159,7 @@ fn one_two_and_four_workers_merge_bit_identically() {
             .collect();
 
         let mut transport = HttpTransport::new(&addr);
-        let report = run_sweep_via(&mut transport, &grid, None, 2)
+        let report = run_sweep_via(&mut transport, &grid, None, 2, None)
             .unwrap_or_else(|e| panic!("{worker_count}-worker sweep failed: {e}"));
         let distributed_json = serde_json::to_string_pretty(&report).unwrap();
         assert_eq!(
@@ -206,7 +206,8 @@ fn flaky_workers_cannot_change_a_byte() {
         .collect();
 
     let mut transport = HttpTransport::new(&addr);
-    let report = run_sweep_via(&mut transport, &grid, None, 2).expect("flaky distributed sweep");
+    let report =
+        run_sweep_via(&mut transport, &grid, None, 2, None).expect("flaky distributed sweep");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -263,7 +264,7 @@ fn worker_crash_mid_cell_expires_the_lease_and_another_worker_finishes() {
                 max_consecutive_errors: 3,
                 ..WorkerConfig::default()
             };
-            run_worker(&mut transport, &config)
+            run_worker(&mut transport, &config, None).map(|(report, _)| report)
         }
     });
     assert!(
@@ -275,7 +276,7 @@ fn worker_crash_mid_cell_expires_the_lease_and_another_worker_finishes() {
     // next claim sweeps the orphan back to the queue front.
     let healthy = start_worker(&addr, FaultPlan::none(), 60_000);
     let mut transport = HttpTransport::new(&addr);
-    let report = run_sweep_via(&mut transport, &grid, None, 2).expect("recovery sweep");
+    let report = run_sweep_via(&mut transport, &grid, None, 2, None).expect("recovery sweep");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -356,7 +357,7 @@ fn coordinator_resumes_from_journal_and_recomputes_only_missing_cells() {
     {
         let (handle, addr) = boot(1, None);
         let mut transport = HttpTransport::new(&addr);
-        run_sweep_via(&mut transport, &half, Some(&journal), 2).expect("half sweep");
+        run_sweep_via(&mut transport, &half, Some(&journal), 2, None).expect("half sweep");
         handle.shutdown();
     }
 
@@ -364,7 +365,8 @@ fn coordinator_resumes_from_journal_and_recomputes_only_missing_cells() {
     // Only the two cells missing from the journal may run as jobs.
     let (handle, addr) = boot(1, None);
     let mut transport = HttpTransport::new(&addr);
-    let report = run_sweep_via(&mut transport, &grid, Some(&journal), 2).expect("resumed sweep");
+    let report =
+        run_sweep_via(&mut transport, &grid, Some(&journal), 2, None).expect("resumed sweep");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -387,12 +389,12 @@ fn coordinator_resumes_from_journal_and_recomputes_only_missing_cells() {
         ..FaultPlan::none()
     };
     let mut flaky = FlakyTransport::new(HttpTransport::new(&addr), plan);
-    let crashed = run_sweep_via(&mut flaky, &grid, Some(&crash_journal), 2);
+    let crashed = run_sweep_via(&mut flaky, &grid, Some(&crash_journal), 2, None);
     assert!(crashed.is_err(), "the dead transport must fail the run");
 
     let mut transport = HttpTransport::new(&addr);
     let report =
-        run_sweep_via(&mut transport, &grid, Some(&crash_journal), 2).expect("crash resume");
+        run_sweep_via(&mut transport, &grid, Some(&crash_journal), 2, None).expect("crash resume");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -416,7 +418,7 @@ fn distributed_calibration_matches_local_including_pareto_front() {
         .map(|_| start_worker(&addr, FaultPlan::none(), 60_000))
         .collect();
     let mut transport = HttpTransport::new(&addr);
-    let report = run_calibration_via(&mut transport, &grid, Some(&journal), 2)
+    let report = run_calibration_via(&mut transport, &grid, Some(&journal), 2, None)
         .expect("distributed calibration");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
@@ -432,7 +434,7 @@ fn distributed_calibration_matches_local_including_pareto_front() {
     // workers anywhere can still produce the full report.
     let (handle, addr) = boot(0, None);
     let mut transport = HttpTransport::new(&addr);
-    let resumed = run_calibration_via(&mut transport, &grid, Some(&journal), 2)
+    let resumed = run_calibration_via(&mut transport, &grid, Some(&journal), 2, None)
         .expect("journal-only calibration");
     assert_eq!(
         serde_json::to_string_pretty(&resumed).unwrap(),
@@ -484,7 +486,7 @@ fn churn_under_latency_stalls_partial_writes_and_breakers_cannot_change_a_byte()
         .collect();
 
     let mut transport = HttpTransport::new(&addr);
-    let report = run_sweep_via(&mut transport, &grid, None, 2).expect("churned sweep");
+    let report = run_sweep_via(&mut transport, &grid, None, 2, None).expect("churned sweep");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -569,7 +571,7 @@ fn drain_mid_sweep_then_restart_resumes_byte_identically_from_a_torn_journal() {
                     seed: 3,
                 },
             };
-            run_worker(&mut transport, &config)
+            run_worker(&mut transport, &config, None).map(|(report, _)| report)
         }
     });
     let coordinator = std::thread::spawn({
@@ -578,7 +580,7 @@ fn drain_mid_sweep_then_restart_resumes_byte_identically_from_a_torn_journal() {
         let journal = journal.clone();
         move || {
             let mut transport = HttpTransport::new(&addr);
-            run_sweep_via(&mut transport, &grid, Some(&journal), 2)
+            run_sweep_via(&mut transport, &grid, Some(&journal), 2, None)
         }
     });
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -616,7 +618,8 @@ fn drain_mid_sweep_then_restart_resumes_byte_identically_from_a_torn_journal() {
     let (handle, addr) = boot(0, None);
     let healthy = start_worker(&addr, FaultPlan::none(), 60_000);
     let mut transport = HttpTransport::new(&addr);
-    let report = run_sweep_via(&mut transport, &grid, Some(&journal), 2).expect("resumed sweep");
+    let report =
+        run_sweep_via(&mut transport, &grid, Some(&journal), 2, None).expect("resumed sweep");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -695,4 +698,94 @@ fn server_journal_replays_onto_a_fresh_store_identically() {
     );
     handle.shutdown();
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn drain_waits_for_an_in_process_job_and_journals_it() {
+    let journal = tmp("drain-in-process");
+    // A drain budget far above the job's run time: the drain itself,
+    // not the final worker join, must wait for the in-process job.
+    let handle = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        journal: Some(journal.display().to_string()),
+        drain_ms: 60_000,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    // Slow enough to still be running when the drain starts.
+    let mut spec = ahn_serve::loadtest::smoke_spec(17);
+    if let ahn_serve::JobSpec::Experiment { config, .. } = &mut spec {
+        config.generations = 1_000;
+    }
+    let key = spec.cache_key().unwrap();
+    let (status, response) = post(
+        &addr,
+        "/v1/experiments",
+        &serde_json::to_string(&spec).unwrap(),
+    );
+    assert_eq!(status, 202, "{response}");
+    let ack: Value = serde_json::from_str(&response).unwrap();
+    let Value::U64(job_id) = ack["job_id"] else {
+        panic!("no job id in {response}");
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, job) = get(&addr, &format!("/v1/jobs/{job_id}"));
+        match &job["status"] {
+            Value::String(s) if s == "running" => break,
+            Value::String(s) if s == "queued" => {}
+            other => panic!("the job must still be running at the drain, got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "the worker never took the job");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    handle.shutdown();
+    let replayed = ahn_serve::journal::replay(&journal).expect("replay journal");
+    let keys: Vec<u64> = replayed.records.iter().map(|r| r.key).collect();
+    assert_eq!(keys, vec![key], "the drained job's completion is journaled");
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn local_and_pull_workers_share_one_queue_bit_identically() {
+    let mut grid = small_grid();
+    grid.seed_blocks = vec![0, 1, 2, 3]; // 8 cells
+    let cells = grid.cell_specs().len() as u64;
+    let local_json =
+        serde_json::to_string_pretty(&ahn_core::run_sweep(&grid).expect("local sweep")).unwrap();
+
+    // One in-process worker plus two lossy pull workers on short leases:
+    // lost grants and slow deliveries expire leases, and their cells
+    // requeue into whichever worker claims next — the local one too.
+    let (handle, addr) = boot(1, None);
+    let plans = [31, 32].map(|seed| FaultPlan {
+        seed,
+        drop_request_percent: 20,
+        drop_response_percent: 20,
+        ..FaultPlan::none()
+    });
+    let workers: Vec<_> = plans
+        .iter()
+        .map(|plan| start_worker(&addr, *plan, 20))
+        .collect();
+
+    let mut transport = HttpTransport::new(&addr);
+    let report = run_sweep_via(&mut transport, &grid, None, 2, None).expect("mixed-node sweep");
+    assert_eq!(
+        serde_json::to_string_pretty(&report).unwrap(),
+        local_json,
+        "mixing local and pull workers changed the report bytes"
+    );
+    assert_eq!(
+        metric_u64(&addr, "jobs_completed"),
+        cells,
+        "every cell completes exactly once, whoever finished it first"
+    );
+    for worker in workers {
+        let _ = worker.join().expect("worker thread");
+    }
+    handle.shutdown();
 }

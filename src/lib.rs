@@ -23,7 +23,7 @@
 //! | [`ipdrp`] | the IPDRP baseline (Namikawa & Ishibuchi) |
 //! | [`obs`] | observability: latency histograms, trace spans, recorder hooks |
 //! | [`core`] | the experiment harness reproducing every table/figure |
-//! | [`serve`] | the HTTP job server (worker pool, result cache, load test) |
+//! | [`serve`] | the HTTP job server (job queue and workers, result cache, load test) |
 //!
 //! ## Example
 //!
